@@ -320,13 +320,14 @@ fn bench_engine_loop(c: &mut Criterion) {
     group.finish();
 }
 
-/// Wire-path benchmarks: the per-packet `QueueDrain` → `Delivery` →
-/// `AckArrival` chain in isolation, fused against the staged reference on
-/// the same scenarios (ACK-clocked and paced — the two shapes every
-/// experiment reduces to), plus a faulted scenario where `Fused` must
-/// transparently fall back to staged, pricing the gate itself. The
-/// fused/staged delta is the tentpole win: three scheduler push/pop pairs
-/// per packet collapsed into one wire-ring slot with three cursors.
+/// Wire-path benchmarks: the per-packet `Delivery` → `AckArrival` chain in
+/// isolation, fused against the staged reference on the same scenarios
+/// (ACK-clocked and paced — the two shapes every experiment reduces to),
+/// plus a faulted scenario where `Fused` must transparently fall back to
+/// staged, pricing the gate itself. The fused/staged delta is two scheduler
+/// push/pop pairs per packet collapsed into one wire-ring slot with two
+/// cursors; buffer release goes through each link's departure FIFO on both
+/// paths, so neither pays a scheduler event for it.
 fn bench_wire(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine/wire");
     let link = || LinkSpec::new(50.0, Dur::from_millis(30), 375_000);

@@ -30,8 +30,6 @@
 //! Reports land in `results/rtc/`; the campaign is deterministic, so two
 //! runs (at any worker count) produce byte-identical reports.
 
-use std::fs;
-
 use proteus_apps::{MediaSource, MediaSpec};
 use proteus_netsim::{run, FaultSchedule, FlowSpec, LinkSpec, Scenario, SimResult, Topology};
 use proteus_transport::Dur;
@@ -39,7 +37,7 @@ use proteus_transport::Dur;
 use proteus_runner::{payload, SimJob};
 
 use crate::protocols::cc;
-use crate::report::{f2, results_dir, Table};
+use crate::report::{f2, results_dir, write_file, Table};
 use crate::runner::{campaign, tail_mbps};
 use crate::RunCfg;
 
@@ -434,11 +432,10 @@ pub fn run_with_outcome(cfg: RunCfg) -> RtcOutcome {
     );
 
     let dir = results_dir().join("rtc");
-    let _ = fs::create_dir_all(&dir);
-    let _ = fs::write(dir.join("report.txt"), &text);
-    let _ = fs::write(dir.join("matrix.csv"), matrix.to_csv());
-    let _ = fs::write(dir.join("harm.csv"), harm.to_csv());
-    let _ = fs::write(dir.join("invariants.csv"), inv.to_csv());
+    write_file(&dir.join("report.txt"), &text);
+    write_file(&dir.join("matrix.csv"), &matrix.to_csv());
+    write_file(&dir.join("harm.csv"), &harm.to_csv());
+    write_file(&dir.join("invariants.csv"), &inv.to_csv());
 
     RtcOutcome {
         checks,

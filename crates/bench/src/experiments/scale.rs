@@ -31,8 +31,6 @@
 //! `results/scale/scale.txt` (+ CSVs); the campaign is deterministic, so
 //! two runs produce byte-identical reports.
 
-use std::fs;
-
 use proteus_netsim::{run, ChurnClass, ChurnSpec, FlowSpec, LinkSpec, Scenario, SimResult};
 use proteus_stats::jain_index;
 use proteus_transport::Dur;
@@ -40,7 +38,7 @@ use proteus_transport::Dur;
 use proteus_runner::{payload, SimJob};
 
 use crate::protocols::cc;
-use crate::report::{f2, results_dir, Table};
+use crate::report::{f2, results_dir, write_file, Table};
 use crate::runner::campaign;
 use crate::RunCfg;
 
@@ -707,10 +705,9 @@ pub fn run_with_outcome(cfg: RunCfg) -> ScaleOutcome {
     );
 
     let dir = results_dir().join("scale");
-    let _ = fs::create_dir_all(&dir);
-    let _ = fs::write(dir.join("scale.txt"), &text);
-    let _ = fs::write(dir.join("cells.csv"), churn_table.to_csv());
-    let _ = fs::write(dir.join("invariants.csv"), inv.to_csv());
+    write_file(&dir.join("scale.txt"), &text);
+    write_file(&dir.join("cells.csv"), &churn_table.to_csv());
+    write_file(&dir.join("invariants.csv"), &inv.to_csv());
 
     ScaleOutcome {
         checks,

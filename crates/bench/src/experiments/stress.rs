@@ -27,8 +27,6 @@
 //! `results/stress/robustness.txt` (+ CSVs); the whole campaign is
 //! deterministic, so two runs produce byte-identical reports.
 
-use std::fs;
-
 use proteus_netsim::{
     run, AckCompression, FaultSchedule, FlowSpec, GilbertElliott, LinkSpec, ReorderConfig,
     Scenario, SimResult,
@@ -40,7 +38,7 @@ use proteus_runner::{payload, SimJob};
 
 use crate::mi_trace::MiTraceSink;
 use crate::protocols::cc_traced;
-use crate::report::{f2, results_dir, Table};
+use crate::report::{f2, results_dir, write_file, Table};
 use crate::runner::{campaign, tail_mbps, trace_suffix, TraceSink, Traces, TRACE_EVERY};
 use crate::RunCfg;
 
@@ -544,10 +542,9 @@ pub fn run_with_outcome(cfg: RunCfg) -> StressOutcome {
     // The robustness report gets its own directory, as promised by the
     // docs: results/stress/robustness.{txt,csv}.
     let dir = results_dir().join("stress");
-    let _ = fs::create_dir_all(&dir);
-    let _ = fs::write(dir.join("robustness.txt"), &text);
-    let _ = fs::write(dir.join("matrix.csv"), matrix.to_csv());
-    let _ = fs::write(dir.join("invariants.csv"), inv.to_csv());
+    write_file(&dir.join("robustness.txt"), &text);
+    write_file(&dir.join("matrix.csv"), &matrix.to_csv());
+    write_file(&dir.join("invariants.csv"), &inv.to_csv());
 
     StressOutcome {
         checks,

@@ -27,8 +27,6 @@
 //! Reports land in `results/topology/report.txt` (+ CSVs); the campaign is
 //! deterministic, so two runs produce byte-identical reports.
 
-use std::fs;
-
 use proteus_netsim::{run, FlowSpec, LinkId, LinkSpec, Scenario, Topology};
 use proteus_stats::jain_index;
 use proteus_transport::Dur;
@@ -36,7 +34,7 @@ use proteus_transport::Dur;
 use proteus_runner::{payload, SimJob};
 
 use crate::protocols::cc;
-use crate::report::{f2, results_dir, Table};
+use crate::report::{f2, results_dir, write_file, Table};
 use crate::runner::{campaign, tail_mbps};
 use crate::RunCfg;
 
@@ -398,12 +396,11 @@ pub fn run_with_outcome(cfg: RunCfg) -> TopologyOutcome {
     );
 
     let dir = results_dir().join("topology");
-    let _ = fs::create_dir_all(&dir);
-    let _ = fs::write(dir.join("report.txt"), &text);
-    let _ = fs::write(dir.join("parking.csv"), parking.to_csv());
-    let _ = fs::write(dir.join("rtt.csv"), rtt.to_csv());
-    let _ = fs::write(dir.join("harm.csv"), harm.to_csv());
-    let _ = fs::write(dir.join("invariants.csv"), inv.to_csv());
+    write_file(&dir.join("report.txt"), &text);
+    write_file(&dir.join("parking.csv"), &parking.to_csv());
+    write_file(&dir.join("rtt.csv"), &rtt.to_csv());
+    write_file(&dir.join("harm.csv"), &harm.to_csv());
+    write_file(&dir.join("invariants.csv"), &inv.to_csv());
 
     TopologyOutcome {
         checks,

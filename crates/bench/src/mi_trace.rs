@@ -20,7 +20,7 @@ use proteus_netsim::SimResult;
 use proteus_trace::export::{to_chrome_trace, to_jsonl};
 use proteus_trace::TraceSummary;
 
-use crate::report::{results_dir, Table};
+use crate::report::{results_dir, write_file, Table};
 
 /// Environment variable overriding the decision-trace output directory
 /// (the `--trace-out` flag sets the same override in-process).
@@ -144,23 +144,23 @@ impl MiTraceSink {
         out
     }
 
-    /// Writes the run's decision trace in the selected format(s). I/O
-    /// errors are ignored: tracing must never fail an experiment.
+    /// Writes the run's decision trace in the selected format(s).
+    ///
+    /// # Panics
+    /// Panics, naming the path, if a trace file cannot be written: the
+    /// traces are declared campaign artifacts, so after a failed write the
+    /// runner would cache whatever older file sits at the path as this
+    /// run's trace.
     pub fn write(&self, res: &SimResult) {
         let names: Vec<&str> = res.flows.iter().map(|f| f.name.as_str()).collect();
         if self.format.jsonl() {
-            let path = self.jsonl_path();
-            if let Some(parent) = path.parent() {
-                let _ = fs::create_dir_all(parent);
-            }
-            let _ = fs::write(path, to_jsonl(&res.decisions, &names));
+            write_file(&self.jsonl_path(), &to_jsonl(&res.decisions, &names));
         }
         if self.format.chrome() {
-            let path = self.chrome_path();
-            if let Some(parent) = path.parent() {
-                let _ = fs::create_dir_all(parent);
-            }
-            let _ = fs::write(path, to_chrome_trace(&res.decisions, &names));
+            write_file(
+                &self.chrome_path(),
+                &to_chrome_trace(&res.decisions, &names),
+            );
         }
     }
 }

@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A simple result table mirroring one figure/series of the paper.
 #[derive(Debug, Clone)]
@@ -94,18 +94,37 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
+/// Writes `contents` to `path`, creating its parent directory first.
+///
+/// # Panics
+/// Panics, naming the path, if the directory or the file cannot be written:
+/// a report that silently fails to land leaves a stale file in its place.
+pub(crate) fn write_file(path: &Path, contents: &str) {
+    if let Some(parent) = path.parent() {
+        if let Err(e) = fs::create_dir_all(parent) {
+            panic!("cannot create {}: {e}", parent.display());
+        }
+    }
+    if let Err(e) = fs::write(path, contents) {
+        panic!("cannot write {}: {e}", path.display());
+    }
+}
+
 /// Writes one experiment's text report (and each table's CSV) to
 /// `results/`.
+///
+/// # Panics
+/// Panics, naming the path, if a file cannot be written.
 pub fn write_report(id: &str, text: &str, tables: &[&Table]) {
     let dir = results_dir();
-    let _ = fs::write(dir.join(format!("{id}.txt")), text);
+    write_file(&dir.join(format!("{id}.txt")), text);
     for (i, t) in tables.iter().enumerate() {
         let suffix = if tables.len() == 1 {
             String::new()
         } else {
             format!("_{}", i + 1)
         };
-        let _ = fs::write(dir.join(format!("{id}{suffix}.csv")), t.to_csv());
+        write_file(&dir.join(format!("{id}{suffix}.csv")), &t.to_csv());
     }
 }
 
@@ -146,6 +165,26 @@ mod tests {
         let mut t = Table::new("x", &["a", "b"]);
         t.row(vec!["1".into(), "2".into()]);
         assert_eq!(t.to_csv(), "a,b\n1,2\n");
+    }
+
+    #[test]
+    fn write_file_creates_parents_and_names_the_failing_path() {
+        let root = std::env::temp_dir().join(format!("proteus-write-file-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&root);
+        let report = root.join("a").join("report.txt");
+        write_file(&report, "ok\n");
+        assert_eq!(fs::read_to_string(&report).unwrap(), "ok\n");
+
+        // A regular file where a directory should be: the write must fail
+        // loudly, naming the path, instead of leaving no report behind.
+        let blocked = report.join("inner.csv");
+        let err = std::panic::catch_unwind(|| write_file(&blocked, "x"))
+            .expect_err("writing below a regular file must panic");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert!(msg.contains(&report.display().to_string()), "{msg}");
+        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! across experiments, so e.g. Fig. 6 and Fig. 19 reuse each other's
 //! cached "primary alone" baselines.
 
-use std::fs;
 use std::path::PathBuf;
 
 use proteus_netsim::{run, FlowSpec, LinkSpec, Scenario, SimResult};
@@ -19,7 +18,7 @@ use proteus_transport::{Dur, Time};
 
 use crate::mi_trace::{MiTraceSink, TraceFormat};
 use crate::protocols::{cc, cc_traced};
-use crate::report::results_dir;
+use crate::report::{results_dir, write_file};
 use crate::RunCfg;
 
 /// Telemetry sampling period for traced runs.
@@ -96,14 +95,12 @@ impl TraceSink {
             .join(format!("{}.jsonl", self.run))
     }
 
-    /// Writes the run's trace as JSONL, one object per sample. I/O errors
-    /// are ignored: telemetry must never fail an experiment.
+    /// Writes the run's trace as JSONL, one object per sample.
+    ///
+    /// # Panics
+    /// Panics, naming the path, if the trace file cannot be written.
     pub fn write(&self, res: &SimResult) {
-        let path = self.path();
-        if let Some(parent) = path.parent() {
-            let _ = fs::create_dir_all(parent);
-        }
-        let _ = fs::write(path, trace_jsonl(res));
+        write_file(&self.path(), &trace_jsonl(res));
     }
 }
 

@@ -18,6 +18,14 @@
 //! zero salt at link 0 (see DESIGN.md §4g and
 //! `tests/topology_equivalence.rs`).
 //!
+//! Buffer release takes no event: each accepted packet's departure waits
+//! in its link's FIFO under the key `(departure time, seq)`, with `seq`
+//! drawn from the event sequence at admission. Before an event reads a
+//! link's occupancy (an offer, or a queue sample), the engine releases every
+//! departure that sorts before that event's own `(time, seq)` key, and at
+//! run end it releases every departure due by the end. Each release counts
+//! as a dispatched `QueueDrain` in [`EventStats`].
+//!
 //! Events are ordered by `(time, push sequence)` through the scheduler in
 //! [`crate::sched`] (a hierarchical timing wheel by default, with the
 //! reference binary heap selectable per scenario); both implementations pop
@@ -46,16 +54,16 @@
 //! timestamps are monotone non-decreasing in admission order: departures
 //! inherit the link's monotone `free_at`, deliveries add a constant forward
 //! propagation, and ACK returns add a constant reverse propagation. The
-//! engine exploits this by routing the per-packet
-//! `QueueDrain` → `Delivery` → `AckArrival` chain through a FIFO wire ring
-//! ([`WirePath::Fused`], the default) instead of the scheduler: three
-//! push/pop pairs per packet become one ring slot with three cursors, and
-//! the main loop merges the scheduler with the three (sorted) wire streams
-//! by `(time, seq)`. Event sequence numbers are still assigned at exactly
-//! the instants the staged path assigns them — two at admission, one at
-//! delivery dispatch — so every dispatched event carries the identical
-//! `(time, seq)` key and the total dispatch order (and with it every
-//! result byte) is unchanged by construction. Scenarios with faults or
+//! engine exploits this by routing the per-packet `Delivery` → `AckArrival`
+//! chain through a FIFO wire ring ([`WirePath::Fused`], the default)
+//! instead of the scheduler: two push/pop pairs per packet become one ring
+//! slot with two cursors, and the main loop merges the scheduler with the
+//! two (sorted) wire streams by `(time, seq)`. Event sequence numbers are
+//! still assigned at exactly the instants the staged path assigns them —
+//! two at admission (departure and delivery), one at delivery dispatch — so
+//! every dispatched event carries the identical `(time, seq)` key and the
+//! total dispatch order (and with it every result byte) is unchanged by
+//! construction. Scenarios with faults or
 //! noise transparently fall back to the staged path — their draws are
 //! RNG-order- and state-sensitive — which also remains selectable
 //! explicitly ([`WirePath::Staged`]) as the executable ordering reference
@@ -115,7 +123,7 @@ pub const LINK_FAULT_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 ///
 /// Mirrors [`crate::sched::Scheduler`]: [`WirePath::Fused`] is the default
 /// optimized implementation, [`WirePath::Staged`] keeps the original
-/// three-event scheduler chain available as an executable ordering
+/// two-event scheduler chain available as an executable ordering
 /// reference so tests can assert the two produce identical results and
 /// benches can measure the before/after. Fused execution applies only when
 /// the scenario has no fault schedule and no latency noise; otherwise the
@@ -165,12 +173,6 @@ pub fn take_session_event_totals() -> SessionEventTotals {
 enum Event {
     FlowStart(u32),
     FlowStop(u32),
-    /// A packet finished serializing at link `link`: release its buffer
-    /// space.
-    QueueDrain {
-        link: LinkId,
-        bytes: u32,
-    },
     /// A data packet reaches the receiver (at the queue entry's time).
     Delivery {
         flow: u32,
@@ -229,7 +231,9 @@ enum Event {
     },
 }
 
-/// Index of `Event::QueueDrain` in [`crate::metrics::EVENT_KIND_NAMES`].
+/// Index of a released link departure in
+/// [`crate::metrics::EVENT_KIND_NAMES`] (no `Event` variant: see
+/// `Sim::release_departures`).
 const K_QUEUE_DRAIN: usize = 2;
 /// Index of `Event::Delivery` in [`crate::metrics::EVENT_KIND_NAMES`].
 const K_DELIVERY: usize = 3;
@@ -244,7 +248,6 @@ impl Event {
         match self {
             Event::FlowStart(_) => 0,
             Event::FlowStop(_) => 1,
-            Event::QueueDrain { .. } => K_QUEUE_DRAIN,
             Event::Delivery { .. } => K_DELIVERY,
             Event::AckArrival { .. } => K_ACK_ARRIVAL,
             Event::Pace { .. } => 5,
@@ -270,90 +273,38 @@ struct WirePacket {
     bytes: u32,
     seq: SeqNr,
     sent_at: Time,
-    drain_at: Time,
     deliver_at: Time,
     ack_at: Time,
-    drain_seq: u64,
     deliver_seq: u64,
     ack_seq: u64,
-    /// Lost to `random_loss` at admission: the packet drains the queue but
-    /// never reaches the receiver (drain-only ring entry).
-    lost: bool,
 }
 
-/// The fused wire pipeline: a FIFO ring of admitted packets with one cursor
-/// per stage. Cursors are *absolute* admission indices (`base` counts
-/// entries already popped off the front), so a packet's ring slot is
-/// `abs - base`. Because every stage's timestamps are monotone in admission
-/// order on a clean path, the next event of each stage is always at its
-/// cursor — the three stage streams are sorted queues obtained for free.
-#[derive(Debug, Default)]
+/// The fused wire pipeline: a FIFO ring of admitted packets that will reach
+/// the receiver (packets lost on the wire never enter; their buffer release
+/// is the link's). The first `delivered` packets have reached the receiver
+/// and await their ACK; the next one awaits delivery. Because both stages'
+/// timestamps are monotone in admission order on a clean path, each stage's
+/// next event is always at its cursor — the two stage streams are sorted
+/// queues obtained for free.
+#[derive(Debug)]
 struct WirePipeline {
     ring: VecDeque<WirePacket>,
-    /// Packets fully retired off the front of the ring.
-    base: u64,
-    /// Next packet to drain the bottleneck queue.
-    drain_next: u64,
-    /// Next non-lost packet to reach the receiver.
-    deliver_next: u64,
-    /// Next delivered packet whose ACK returns (`< deliver_next` always;
-    /// the ACK stream head exists only once its delivery dispatched).
-    ack_next: u64,
+    delivered: usize,
 }
 
 impl WirePipeline {
     fn new() -> Self {
         WirePipeline {
             ring: VecDeque::with_capacity(256),
-            ..Default::default()
-        }
-    }
-
-    /// Absolute index one past the newest admitted packet.
-    fn total(&self) -> u64 {
-        self.base + self.ring.len() as u64
-    }
-
-    fn pkt(&self, abs: u64) -> &WirePacket {
-        &self.ring[(abs - self.base) as usize]
-    }
-
-    fn pkt_mut(&mut self, abs: u64) -> &mut WirePacket {
-        &mut self.ring[(abs - self.base) as usize]
-    }
-
-    /// Advances the deliver/ack cursors past packets that never deliver,
-    /// keeping `ack_next <= deliver_next`.
-    fn skip_lost(&mut self) {
-        while self.deliver_next < self.total() && self.pkt(self.deliver_next).lost {
-            self.deliver_next += 1;
-        }
-        while self.ack_next < self.deliver_next && self.pkt(self.ack_next).lost {
-            self.ack_next += 1;
-        }
-    }
-
-    /// Pops fully-processed packets off the front. A packet is done once it
-    /// has drained and either was lost on the wire or its ACK dispatched.
-    fn pop_done(&mut self) {
-        while let Some(front) = self.ring.front() {
-            let done_drain = self.drain_next > self.base;
-            let done_ack = front.lost || self.ack_next > self.base;
-            if done_drain && done_ack {
-                self.ring.pop_front();
-                self.base += 1;
-            } else {
-                break;
-            }
+            delivered: 0,
         }
     }
 }
 
-/// Which stream the fused main loop's 4-way `(time, seq)` merge chose.
+/// Which stream the fused main loop's 3-way `(time, seq)` merge chose.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum FusedSrc {
     Sched,
-    Drain,
     Deliver,
     Ack,
 }
@@ -409,6 +360,9 @@ pub struct Sim {
     now: Time,
     queue: EventQueue<Event>,
     event_seq: u64,
+    /// Sequence number of the event being dispatched: with `now`, the key
+    /// below which link departures have already happened.
+    cur_seq: u64,
     /// Per-link runtime state, indexed by [`LinkId`].
     links: Vec<LinkState>,
     /// The default flow path: every link in id order.
@@ -561,6 +515,7 @@ impl Sim {
             now: Time::ZERO,
             queue: EventQueue::new(scheduler, capacity),
             event_seq: 0,
+            cur_seq: 0,
             links,
             default_path,
             flows: FlowTable::with_capacity(flow_capacity),
@@ -699,6 +654,9 @@ impl Sim {
         } else {
             self.run_staged(end);
         }
+        for li in 0..self.links.len() {
+            self.release_departures(li, end, u64::MAX);
+        }
         // Final decision sweep (stopped flows included), then restore
         // global timestamp order: drains interleave flows per sweep, so a
         // stable sort by time is enough to keep each flow's own order.
@@ -735,76 +693,66 @@ impl Sim {
 
     /// The staged reference loop: every event flows through the scheduler.
     fn run_staged(&mut self, end: Time) {
-        while let Some((at, _seq, ev)) = self.queue.pop() {
+        while let Some((at, seq, ev)) = self.queue.pop() {
             if at > end {
                 break;
             }
             self.now = at;
+            self.cur_seq = seq;
             self.dispatch(ev);
         }
     }
 
-    /// The fused main loop: a 4-way merge by `(time, seq)` of the scheduler
-    /// head and the three wire-ring stage heads. Each head's key is exactly
+    /// The fused main loop: a 3-way merge by `(time, seq)` of the scheduler
+    /// head and the two wire-ring stage heads. Each head's key is exactly
     /// the `(time, seq)` the staged path would have pushed for that event,
     /// so the merge reproduces the staged dispatch order verbatim.
     fn run_fused(&mut self, end: Time) {
-        let end_ns = end.as_nanos();
         loop {
-            let sched = self.queue.peek();
             let w = self.wire.as_ref().expect("run_fused requires a wire ring");
-            let mut best: Option<(u64, u64, FusedSrc)> =
-                sched.map(|(at, seq)| (at.as_nanos(), seq, FusedSrc::Sched));
+            let mut best = self
+                .queue
+                .peek()
+                .map(|(at, seq)| (at, seq, FusedSrc::Sched));
             let mut consider = |at: Time, seq: u64, src: FusedSrc| {
-                let key = (at.as_nanos(), seq);
-                if best.is_none_or(|(t, s, _)| key < (t, s)) {
-                    best = Some((key.0, key.1, src));
+                if best.is_none_or(|(t, s, _)| (at, seq) < (t, s)) {
+                    best = Some((at, seq, src));
                 }
             };
-            if w.drain_next < w.total() {
-                let p = w.pkt(w.drain_next);
-                consider(p.drain_at, p.drain_seq, FusedSrc::Drain);
-            }
-            if w.deliver_next < w.total() {
-                let p = w.pkt(w.deliver_next);
+            if let Some(p) = w.ring.get(w.delivered) {
                 consider(p.deliver_at, p.deliver_seq, FusedSrc::Deliver);
             }
-            if w.ack_next < w.deliver_next {
-                let p = w.pkt(w.ack_next);
+            if w.delivered > 0 {
+                let p = &w.ring[0];
                 consider(p.ack_at, p.ack_seq, FusedSrc::Ack);
             }
-            let Some((at_ns, _seq, src)) = best else {
+            let Some((at, seq, src)) = best else {
                 break;
             };
-            if at_ns > end_ns {
+            if at > end {
                 break;
             }
-            self.now = Time::from_nanos(at_ns);
+            self.now = at;
+            self.cur_seq = seq;
             match src {
                 FusedSrc::Sched => {
                     let (_at, _seq, ev) = self.queue.pop().expect("peeked head vanished");
                     self.dispatch(ev);
                 }
-                FusedSrc::Drain => self.wire_drain_phase(),
                 FusedSrc::Deliver => self.wire_deliver_phase(),
                 FusedSrc::Ack => self.wire_ack_phase(),
             }
         }
     }
 
-    /// Fused analog of `Event::QueueDrain` dispatch.
-    fn wire_drain_phase(&mut self) {
-        let bytes = {
-            let w = self.wire.as_mut().expect("wire phase without ring");
-            let bytes = w.pkt(w.drain_next).bytes;
-            w.drain_next += 1;
-            w.pop_done();
-            bytes
-        };
-        self.events.pops[K_QUEUE_DRAIN] += 1;
-        self.events.fused += 1;
-        // Fused paths are single-link by the fusion gate.
-        self.links[0].link.on_departure(bytes as u64);
+    /// Releases link `li`'s departures keyed below `(now, seq)`, counting
+    /// each as a `QueueDrain` dispatch (and a fused one on the fused path).
+    fn release_departures(&mut self, li: usize, now: Time, seq: u64) {
+        let released = self.links[li].link.release_before(now, seq);
+        self.events.pops[K_QUEUE_DRAIN] += released;
+        if self.wire.is_some() {
+            self.events.fused += released;
+        }
     }
 
     /// Fused analog of `Event::Delivery` dispatch: assigns the ACK's
@@ -812,9 +760,9 @@ impl Sim {
     /// `AckArrival` — and computes its arrival with the same per-flow FIFO
     /// clamp. ACK processing itself runs at `ack_at` via the merge.
     fn wire_deliver_phase(&mut self) {
-        let (flow, idx) = {
+        let flow = {
             let w = self.wire.as_ref().expect("wire phase without ring");
-            (w.pkt(w.deliver_next).flow as FlowId, w.deliver_next)
+            w.ring[w.delivered].flow as FlowId
         };
         self.event_seq += 1;
         let ack_seq = self.event_seq;
@@ -828,13 +776,10 @@ impl Sim {
         }
         self.flows.last_ack_arrival_at[flow] = arrival;
         let w = self.wire.as_mut().expect("wire phase without ring");
-        {
-            let p = w.pkt_mut(idx);
-            p.ack_at = arrival;
-            p.ack_seq = ack_seq;
-        }
-        w.deliver_next = idx + 1;
-        w.skip_lost();
+        let p = &mut w.ring[w.delivered];
+        p.ack_at = arrival;
+        p.ack_seq = ack_seq;
+        w.delivered += 1;
         self.events.pops[K_DELIVERY] += 1;
         self.events.fused += 1;
     }
@@ -844,11 +789,8 @@ impl Sim {
     fn wire_ack_phase(&mut self) {
         let pkt = {
             let w = self.wire.as_mut().expect("wire phase without ring");
-            let pkt = *w.pkt(w.ack_next);
-            w.ack_next += 1;
-            w.skip_lost();
-            w.pop_done();
-            pkt
+            w.delivered -= 1;
+            w.ring.pop_front().expect("ACK head vanished")
         };
         self.events.pops[K_ACK_ARRIVAL] += 1;
         self.events.fused += 1;
@@ -866,9 +808,6 @@ impl Sim {
         match ev {
             Event::FlowStart(id) => self.on_flow_start(id as FlowId),
             Event::FlowStop(id) => self.on_flow_stop(id as FlowId),
-            Event::QueueDrain { link, bytes } => {
-                self.links[link as usize].link.on_departure(bytes as u64)
-            }
             Event::Delivery {
                 flow,
                 seq,
@@ -895,6 +834,7 @@ impl Sim {
             Event::QueueSample => {
                 // Legacy samples cover link 0; per-link peaks are reported
                 // through `LinkSummary::peak_queued_bytes`.
+                self.release_departures(0, self.now, self.cur_seq);
                 self.queue_samples
                     .push((self.now.as_secs_f64(), self.links[0].link.queued_bytes()));
                 if let Some(every) = self.queue_sample_every {
@@ -1510,17 +1450,12 @@ impl Sim {
             let arm_rto = self.flows.rto_deadline[flow].is_none();
             self.metrics[flow].on_sent(bytes);
 
+            // On a tail drop the sender finds out via dup-ACKs or RTO.
             let first = self.flows.path[flow][0] as usize;
-            match self.links[first].link.offer(now, bytes) {
-                Offer::Dropped => {
-                    // Tail drop: the sender finds out via dup-ACKs or RTO.
-                }
-                Offer::Departs(at) if self.wire.is_some() => {
-                    self.note_queue_peak(first);
+            if let Some(at) = self.offer(first, bytes) {
+                if self.wire.is_some() {
                     self.admit_fused(flow, seq, bytes, at);
-                }
-                Offer::Departs(at) => {
-                    self.note_queue_peak(first);
+                } else {
                     self.forward_staged(flow, seq, bytes, now, 0, at);
                 }
             }
@@ -1532,22 +1467,34 @@ impl Sim {
         debug_assert!(false, "try_send hit MAX_BURST — runaway controller?");
     }
 
-    /// Tracks a link's peak buffer occupancy after a successful admission.
-    fn note_queue_peak(&mut self, li: usize) {
-        let q = self.links[li].link.queued_bytes();
-        if q > self.links[li].peak_queued_bytes {
-            self.links[li].peak_queued_bytes = q;
+    /// Offers a packet to link `li` at the current event and returns its
+    /// departure time, or `None` on a tail drop. Departures that sort before
+    /// the current event are released first; an accepted packet takes the
+    /// next event sequence number as its departure key, so departures and
+    /// events share one `(time, seq)` order, and updates the link's peak
+    /// occupancy.
+    fn offer(&mut self, li: usize, bytes: u64) -> Option<Time> {
+        self.release_departures(li, self.now, self.cur_seq);
+        let l = &mut self.links[li];
+        match l.link.offer(self.now, bytes, self.event_seq + 1) {
+            Offer::Dropped => None,
+            Offer::Departs(at) => {
+                self.event_seq += 1;
+                l.peak_queued_bytes = l.peak_queued_bytes.max(l.link.queued_bytes());
+                Some(at)
+            }
         }
     }
 
     /// Staged continuation after link `path[hop]` accepted a packet with
-    /// departure time `at`: schedules the queue drain, applies that link's
-    /// loss, noise and reordering processes, and forwards the packet to
-    /// the next hop (`HopArrival`) or the receiver (`Delivery`).
+    /// departure time `at`: applies that link's loss, noise and reordering
+    /// processes, and forwards the packet to the next hop (`HopArrival`) or
+    /// the receiver (`Delivery`).
     ///
     /// For a one-link path (`hop == 0`, last hop) this is byte-for-byte the
-    /// legacy wire chain: the same events pushed at the same instants, the
-    /// same draws from the same RNGs in the same order. Mid-path hops skip
+    /// legacy wire chain: the same events pushed at the same instants with
+    /// the same sequence numbers, the same draws from the same RNGs in the
+    /// same order. Mid-path hops skip
     /// the per-flow FIFO delivery clamp — each queue is itself FIFO, and
     /// the clamp's contract (jitter never reorders a flow) is enforced at
     /// the final hop exactly as before.
@@ -1564,13 +1511,6 @@ impl Sim {
             let p = &self.flows.path[flow];
             (p[hop] as usize, hop + 1 == p.len())
         };
-        self.push(
-            at,
-            Event::QueueDrain {
-                link: li as LinkId,
-                bytes: bytes as u32,
-            },
-        );
         // Fault layer first (its own RNG: no draws without a schedule),
         // then the pre-existing random-loss draw from the main RNG, in the
         // original order.
@@ -1647,53 +1587,43 @@ impl Sim {
     /// first hop.
     fn on_hop_arrival(&mut self, flow: FlowId, seq: SeqNr, bytes: u64, sent_at: Time, hop: usize) {
         let li = self.flows.path[flow][hop] as usize;
-        match self.links[li].link.offer(self.now, bytes) {
-            Offer::Dropped => {}
-            Offer::Departs(at) => {
-                self.note_queue_peak(li);
-                self.forward_staged(flow, seq, bytes, sent_at, hop, at);
-            }
+        if let Some(at) = self.offer(li, bytes) {
+            self.forward_staged(flow, seq, bytes, sent_at, hop, at);
         }
     }
 
     /// Admits one accepted packet to the fused wire ring, consuming the
     /// same sequence numbers and RNG draws, at the same instants, as the
-    /// staged path's admission: one sequence for the queue drain, then the
-    /// random-loss draw (the fault layer is absent on a fused path), then —
-    /// for surviving packets — one sequence for the delivery plus the
-    /// per-flow FIFO clamp (a no-op on clean paths, replicated anyway so
-    /// flow state stays bit-identical).
-    fn admit_fused(&mut self, flow: FlowId, seq: SeqNr, bytes: u64, drain_at: Time) {
+    /// staged path's admission: after the departure key taken by
+    /// [`Sim::offer`], the random-loss draw (the fault layer is absent on a
+    /// fused path), then — for surviving packets — one sequence for the
+    /// delivery plus the per-flow FIFO clamp (a no-op on clean paths,
+    /// replicated anyway so flow state stays bit-identical).
+    fn admit_fused(&mut self, flow: FlowId, seq: SeqNr, bytes: u64, departs: Time) {
+        if self.links[0].random_loss > 0.0 && self.rng.random::<f64>() < self.links[0].random_loss {
+            return;
+        }
         self.event_seq += 1;
-        let drain_seq = self.event_seq;
-        let lost =
-            self.links[0].random_loss > 0.0 && self.rng.random::<f64>() < self.links[0].random_loss;
-        let mut pkt = WirePacket {
+        let mut deliver_at = departs + self.links[0].fwd_prop;
+        if deliver_at < self.flows.last_delivery_at[flow] {
+            deliver_at = self.flows.last_delivery_at[flow];
+        }
+        self.flows.last_delivery_at[flow] = deliver_at;
+        let pkt = WirePacket {
             flow: flow as u32,
             bytes: bytes as u32,
             seq,
             sent_at: self.now,
-            drain_at,
-            deliver_at: Time::ZERO,
+            deliver_at,
             ack_at: Time::ZERO,
-            drain_seq,
-            deliver_seq: 0,
+            deliver_seq: self.event_seq,
             ack_seq: 0,
-            lost,
         };
-        if !lost {
-            self.event_seq += 1;
-            pkt.deliver_seq = self.event_seq;
-            let mut delivered_at = drain_at + self.links[0].fwd_prop;
-            if delivered_at < self.flows.last_delivery_at[flow] {
-                delivered_at = self.flows.last_delivery_at[flow];
-            }
-            self.flows.last_delivery_at[flow] = delivered_at;
-            pkt.deliver_at = delivered_at;
-        }
-        let w = self.wire.as_mut().expect("admit_fused without ring");
-        w.ring.push_back(pkt);
-        w.skip_lost();
+        self.wire
+            .as_mut()
+            .expect("admit_fused without ring")
+            .ring
+            .push_back(pkt);
     }
 }
 

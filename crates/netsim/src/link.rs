@@ -9,8 +9,16 @@
 //! The implementation uses a *virtual queue*: because service is FIFO and
 //! work-conserving, a packet's departure time is fully determined at arrival
 //! (`max(now, link_free_at) + serialization`), so no per-packet dequeue
-//! events are needed. Buffer occupancy is decremented by the engine when the
-//! departure time passes.
+//! events are needed. Each accepted packet instead joins a FIFO of pending
+//! departures keyed by `(departure time, seq)`, where `seq` is the caller's
+//! event sequence number for the departure. The FIFO is sorted by
+//! construction — `free_at` is monotone and `seq` grows in admission order —
+//! so [`BottleneckLink::release_before`] frees buffer space lazily by
+//! popping its front: the caller releases every departure whose key sorts
+//! before the event it is about to let read the occupancy, which leaves the
+//! link in exactly the state an explicit per-departure event would have.
+
+use std::collections::VecDeque;
 
 use proteus_transport::{serialization_delay, Dur, Time};
 
@@ -23,6 +31,14 @@ pub enum Offer {
     Dropped,
 }
 
+/// An accepted packet whose buffer space is still held.
+#[derive(Debug, Clone, Copy)]
+struct Departure {
+    at: Time,
+    seq: u64,
+    bytes: u64,
+}
+
 /// A fixed-rate, tail-drop FIFO bottleneck.
 #[derive(Debug, Clone)]
 pub struct BottleneckLink {
@@ -32,6 +48,8 @@ pub struct BottleneckLink {
     queued_bytes: u64,
     /// Time the serializer becomes free.
     free_at: Time,
+    /// Accepted packets not yet released, sorted by `(at, seq)`.
+    departures: VecDeque<Departure>,
     /// Counters.
     accepted_pkts: u64,
     dropped_pkts: u64,
@@ -51,6 +69,7 @@ impl BottleneckLink {
             buffer_bytes,
             queued_bytes: 0,
             free_at: Time::ZERO,
+            departures: VecDeque::new(),
             accepted_pkts: 0,
             dropped_pkts: 0,
             delivered_bytes: 0,
@@ -82,16 +101,21 @@ impl BottleneckLink {
         self.buffer_bytes
     }
 
-    /// Bytes currently occupying the buffer (queued + in service).
+    /// Bytes occupying the buffer (queued + in service), as of the last
+    /// [`BottleneckLink::release_before`].
     pub fn queued_bytes(&self) -> u64 {
         self.queued_bytes
     }
 
-    /// Offers a packet of `bytes` at time `now`.
+    /// Offers a packet of `bytes` at time `now`. If accepted, its departure
+    /// joins the pending FIFO under the key `(departure time, seq)`; `seq`
+    /// must exceed every key already offered at an equal or later time.
     ///
     /// The in-service packet counts against the buffer, matching a shared
-    /// NIC ring: a packet is accepted iff `queued + bytes <= buffer`.
-    pub fn offer(&mut self, now: Time, bytes: u64) -> Offer {
+    /// NIC ring: a packet is accepted iff `queued + bytes <= buffer`, where
+    /// `queued` counts every departure not yet released — call
+    /// [`BottleneckLink::release_before`] first.
+    pub fn offer(&mut self, now: Time, bytes: u64, seq: u64) -> Offer {
         if self.queued_bytes + bytes > self.buffer_bytes {
             self.dropped_pkts += 1;
             return Offer::Dropped;
@@ -103,17 +127,38 @@ impl BottleneckLink {
         };
         let departs = start + serialization_delay(bytes, self.rate_bps);
         self.free_at = departs;
+        debug_assert!(
+            self.departures
+                .back()
+                .is_none_or(|d| (d.at, d.seq) < (departs, seq)),
+            "departure keys must grow in admission order"
+        );
+        self.departures.push_back(Departure {
+            at: departs,
+            seq,
+            bytes,
+        });
         self.queued_bytes += bytes;
         self.accepted_pkts += 1;
         Offer::Departs(departs)
     }
 
-    /// Called by the engine when a previously accepted packet's departure
-    /// time passes: releases its buffer space.
-    pub fn on_departure(&mut self, bytes: u64) {
-        debug_assert!(self.queued_bytes >= bytes, "departure underflow");
-        self.queued_bytes = self.queued_bytes.saturating_sub(bytes);
-        self.delivered_bytes += bytes;
+    /// Releases the buffer space of every pending departure whose
+    /// `(departure time, seq)` key sorts before `(now, seq)`, and returns
+    /// how many were released. Pass `seq = u64::MAX` to release everything
+    /// that has departed by `now`.
+    pub fn release_before(&mut self, now: Time, seq: u64) -> u64 {
+        let mut released = 0;
+        while let Some(d) = self.departures.front() {
+            if (d.at, d.seq) >= (now, seq) {
+                break;
+            }
+            self.queued_bytes -= d.bytes;
+            self.delivered_bytes += d.bytes;
+            self.departures.pop_front();
+            released += 1;
+        }
+        released
     }
 
     /// Queueing + serialization delay a hypothetical packet would see now.
@@ -150,7 +195,7 @@ mod tests {
     #[test]
     fn idle_link_serializes_immediately() {
         let mut l = link();
-        match l.offer(Time::from_millis(10), 1500) {
+        match l.offer(Time::from_millis(10), 1500, 1) {
             Offer::Departs(t) => assert_eq!(t, Time::from_millis(11)),
             Offer::Dropped => panic!("should accept"),
         }
@@ -160,10 +205,10 @@ mod tests {
     #[test]
     fn queueing_delays_accumulate() {
         let mut l = link();
-        let Offer::Departs(t1) = l.offer(Time::ZERO, 1500) else {
+        let Offer::Departs(t1) = l.offer(Time::ZERO, 1500, 1) else {
             panic!()
         };
-        let Offer::Departs(t2) = l.offer(Time::ZERO, 1500) else {
+        let Offer::Departs(t2) = l.offer(Time::ZERO, 1500, 2) else {
             panic!()
         };
         assert_eq!(t1, Time::from_millis(1));
@@ -173,10 +218,10 @@ mod tests {
     #[test]
     fn tail_drop_when_full() {
         let mut l = link(); // 4500 B buffer = 3 packets
-        for _ in 0..3 {
-            assert!(matches!(l.offer(Time::ZERO, 1500), Offer::Departs(_)));
+        for seq in 1..=3 {
+            assert!(matches!(l.offer(Time::ZERO, 1500, seq), Offer::Departs(_)));
         }
-        assert_eq!(l.offer(Time::ZERO, 1500), Offer::Dropped);
+        assert_eq!(l.offer(Time::ZERO, 1500, 4), Offer::Dropped);
         assert_eq!(l.dropped_pkts(), 1);
         assert_eq!(l.accepted_pkts(), 3);
     }
@@ -184,27 +229,74 @@ mod tests {
     #[test]
     fn departure_frees_space() {
         let mut l = link();
-        for _ in 0..3 {
-            l.offer(Time::ZERO, 1500);
+        for seq in 1..=3 {
+            l.offer(Time::ZERO, 1500, seq);
         }
-        l.on_departure(1500);
+        // Departures at 1, 2 and 3 ms: only the first has left by 1.5 ms.
+        assert_eq!(l.release_before(Time::from_micros(1500), 10), 1);
         assert_eq!(l.queued_bytes(), 3000);
         assert!(matches!(
-            l.offer(Time::from_millis(1), 1500),
+            l.offer(Time::from_micros(1500), 1500, 11),
             Offer::Departs(_)
         ));
         assert_eq!(l.delivered_bytes(), 1500);
     }
 
     #[test]
+    fn release_before_is_idempotent_and_flushes() {
+        let mut l = link();
+        for seq in 1..=3 {
+            l.offer(Time::ZERO, 1500, seq);
+        }
+        assert_eq!(l.release_before(Time::ZERO, 10), 0);
+        assert_eq!(l.release_before(Time::from_millis(2), u64::MAX), 2);
+        assert_eq!(l.release_before(Time::from_millis(2), u64::MAX), 0);
+        assert_eq!(l.release_before(Time::from_millis(9), u64::MAX), 1);
+        assert_eq!(l.queued_bytes(), 0);
+        assert_eq!(l.delivered_bytes(), 4500);
+    }
+
+    /// Same-instant ties: a departure at exactly `now` has left before an
+    /// event iff its sequence number is lower than that event's — the
+    /// order an explicit per-departure event would have been dispatched in.
+    #[test]
+    fn same_instant_departure_releases_by_seq() {
+        // Fill the buffer at t = 0 with departures at 1, 2 and 3 ms whose
+        // departure keys are seqs 10, 11 and 12; then offer one more packet
+        // at exactly 1 ms from an event with sequence number `cur`.
+        let offer_at_first_departure = |cur: u64| {
+            let mut l = link();
+            for seq in 10..=12 {
+                assert!(matches!(l.offer(Time::ZERO, 1500, seq), Offer::Departs(_)));
+            }
+            let released = l.release_before(Time::from_millis(1), cur);
+            (released, l.offer(Time::from_millis(1), 1500, 20), l)
+        };
+
+        // Current event sorts after the departure: its space is free.
+        let (released, offer, l) = offer_at_first_departure(11);
+        assert_eq!(released, 1);
+        assert_eq!(offer, Offer::Departs(Time::from_millis(4)));
+        assert_eq!(l.delivered_bytes(), 1500);
+        assert_eq!(l.queued_bytes(), 4500);
+
+        // Current event sorts before the departure: still full, tail drop.
+        let (released, offer, l) = offer_at_first_departure(9);
+        assert_eq!(released, 0);
+        assert_eq!(offer, Offer::Dropped);
+        assert_eq!(l.delivered_bytes(), 0);
+        assert_eq!(l.queued_bytes(), 4500);
+    }
+
+    #[test]
     fn work_conserving_after_idle() {
         let mut l = link();
-        let Offer::Departs(t1) = l.offer(Time::ZERO, 1500) else {
+        let Offer::Departs(t1) = l.offer(Time::ZERO, 1500, 1) else {
             panic!()
         };
-        l.on_departure(1500);
         // Link idle 10ms, next packet serializes from its own arrival.
-        let Offer::Departs(t2) = l.offer(Time::from_millis(10), 1500) else {
+        assert_eq!(l.release_before(Time::from_millis(10), 2), 1);
+        let Offer::Departs(t2) = l.offer(Time::from_millis(10), 1500, 3) else {
             panic!()
         };
         assert_eq!(t1, Time::from_millis(1));
@@ -215,15 +307,15 @@ mod tests {
     fn current_delay_reports_backlog() {
         let mut l = link();
         assert_eq!(l.current_delay(Time::ZERO, 1500), Dur::from_millis(1));
-        l.offer(Time::ZERO, 1500);
-        l.offer(Time::ZERO, 1500);
+        l.offer(Time::ZERO, 1500, 1);
+        l.offer(Time::ZERO, 1500, 2);
         assert_eq!(l.current_delay(Time::ZERO, 1500), Dur::from_millis(3));
     }
 
     #[test]
     fn set_rate_applies_to_subsequent_offers() {
         let mut l = link();
-        let Offer::Departs(t1) = l.offer(Time::ZERO, 1500) else {
+        let Offer::Departs(t1) = l.offer(Time::ZERO, 1500, 1) else {
             panic!()
         };
         assert_eq!(t1, Time::from_millis(1));
@@ -231,7 +323,7 @@ mod tests {
         // committed backlog.
         l.set_rate(6_000_000.0);
         assert_eq!(l.rate_bps(), 6_000_000.0);
-        let Offer::Departs(t2) = l.offer(Time::ZERO, 1500) else {
+        let Offer::Departs(t2) = l.offer(Time::ZERO, 1500, 2) else {
             panic!()
         };
         assert_eq!(t2, Time::from_millis(3));

@@ -413,14 +413,18 @@ pub const EVENT_KIND_NAMES: [&str; 15] = [
 /// a staged and a fused run of the same scenario dispatch the identical
 /// event sequence (so [`EventStats::pops`] agrees), but the fused run pushes
 /// the per-packet wire chain through the wire ring instead of the scheduler
-/// (so `pushes`, `peak_queue` and `fused` differ). Equivalence tests that
-/// compare full [`SimResult`] digests across execution paths must therefore
-/// zero this field first.
+/// (so `pushes`, `peak_queue` and `fused` differ). Buffer releases never
+/// touch the scheduler on either path: each link departure released from
+/// the link's FIFO counts as one `QueueDrain` pop (and, on a fused run, one
+/// `fused` dispatch) without a push. Equivalence tests that compare full
+/// [`SimResult`] digests across execution paths must therefore zero this
+/// field first.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventStats {
     /// Events dispatched, by kind (indices match [`EVENT_KIND_NAMES`]).
     /// Counts every dispatch regardless of execution path: a fused wire
-    /// phase counts under the kind of the staged event it replaces.
+    /// phase counts under the kind of the staged event it replaces, and a
+    /// released link departure counts as `QueueDrain`.
     pub pops: [u64; EVENT_KIND_NAMES.len()],
     /// Events pushed into the scheduler.
     pub pushes: u64,

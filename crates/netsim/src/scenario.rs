@@ -476,10 +476,11 @@ impl Scenario {
 
     /// Selects the wire-path execution strategy (default:
     /// [`WirePath::Fused`]). Fused execution collapses the per-packet
-    /// `QueueDrain`/`Delivery`/`AckArrival` scheduler chain into a wire
-    /// ring on clean paths and transparently falls back to staged when the
-    /// scenario attaches faults or noise; results are byte-identical either
-    /// way (`tests/wire_equivalence.rs`).
+    /// `Delivery`/`AckArrival` scheduler chain into a wire ring on clean
+    /// paths and transparently falls back to staged when the scenario
+    /// attaches faults or noise; results are byte-identical either way
+    /// (`tests/wire_equivalence.rs`). Buffer release is the link's own
+    /// departure FIFO on both paths.
     pub fn with_wire_path(mut self, wire_path: WirePath) -> Self {
         self.wire_path = wire_path;
         self
