@@ -7,8 +7,8 @@ use std::hint::black_box;
 
 use proteus_core::{evaluate, MiObservation, Mode, ProteusSender, SharedThreshold, UtilityParams};
 use proteus_netsim::{
-    run, AckCompression, FaultSchedule, FlowSpec, GilbertElliott, LinkSpec, ReorderConfig,
-    Scenario, WirePath,
+    run, AckCompression, FaultSchedule, FlowSpec, GilbertElliott, LinkSpec, NoiseConfig,
+    ReorderConfig, Scenario, Topology, WirePath,
 };
 use proteus_transport::{AckInfo, CongestionControl, Dur, MiStats, MiTracker, SentPacket, Time};
 
@@ -320,14 +320,16 @@ fn bench_engine_loop(c: &mut Criterion) {
     group.finish();
 }
 
-/// Wire-path benchmarks: the per-packet `Delivery` → `AckArrival` chain in
-/// isolation, fused against the staged reference on the same scenarios
-/// (ACK-clocked and paced — the two shapes every experiment reduces to),
-/// plus a faulted scenario where `Fused` must transparently fall back to
-/// staged, pricing the gate itself. The fused/staged delta is two scheduler
-/// push/pop pairs per packet collapsed into one wire-ring slot with two
-/// cursors; buffer release goes through each link's departure FIFO on both
-/// paths, so neither pays a scheduler event for it.
+/// Wire-path benchmarks: the per-packet wire chain in isolation, fused
+/// against the staged reference on the same scenarios. On a clean link
+/// (ACK-clocked and paced — the two shapes every experiment reduces to)
+/// the fused path is the wire ring: two scheduler push/pop pairs per packet
+/// collapse into one ring slot with two cursors. A faulted link and a
+/// 3-hop chain with WiFi noise on its middle hop run on wire lanes, which
+/// serve the in-order `HopArrival`/`Delivery`/`AckArrival` events outside
+/// the scheduler and push the rest to it. Buffer release goes through each
+/// link's departure FIFO on every path, so none pays a scheduler event for
+/// it.
 fn bench_wire(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine/wire");
     let link = || LinkSpec::new(50.0, Dur::from_millis(30), 375_000);
@@ -366,8 +368,8 @@ fn bench_wire(c: &mut Criterion) {
             })
         });
     }
-    // Fallback price: Fused selected but a fault schedule forces staged
-    // execution — should cost the same as explicit Staged on this scenario.
+    // Ring fallback: a fault schedule fails the wire ring's gate, so this
+    // single-link run takes the wire lanes.
     group.bench_function("faulted_fallback_2s", |b| {
         b.iter(|| {
             let faults = FaultSchedule::new()
@@ -381,6 +383,27 @@ fn bench_wire(c: &mut Criterion) {
             black_box(run(sc).flows[0].bytes_acked)
         })
     });
+    // Multi-hop lanes: per-link forward lanes and a per-path ACK lane, with
+    // the noisy middle hop's out-of-order arrivals pushed to the scheduler.
+    for (name, path) in [
+        ("chain3_noisy_fused_2s", WirePath::Fused),
+        ("chain3_noisy_staged_2s", WirePath::Staged),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let topo = Topology::chain([
+                    link(),
+                    link().with_noise(NoiseConfig::wifi_default()),
+                    link(),
+                ]);
+                let sc = Scenario::over(topo, Dur::from_secs(2))
+                    .flow(win())
+                    .with_seed(7)
+                    .with_wire_path(path);
+                black_box(run(sc).flows[0].bytes_acked)
+            })
+        });
+    }
     group.finish();
 }
 

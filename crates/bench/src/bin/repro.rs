@@ -23,6 +23,10 @@
 //! the format(s) `--trace-format` selects. The pseudo-experiment
 //! `trace-summary` aggregates previously recorded decision traces instead
 //! of running simulations.
+//!
+//! Exit status: 0 on success, 2 on a usage error, and 1 when any invariant
+//! check of the experiments run (`stress`, `scale`, `topology`, `rtc`)
+//! failed; the failed checks are listed on stderr.
 
 use std::env;
 use std::process::ExitCode;
@@ -171,12 +175,14 @@ fn main() -> ExitCode {
     proteus_runner::take_session_stats(); // discard anything pre-run
     proteus_netsim::take_session_event_totals(); // same for engine totals
     let mut timings: Vec<ExperimentTiming> = Vec::new();
+    let mut failed: Vec<String> = Vec::new();
     for e in &experiments {
         if run_all || cli.ids.iter().any(|i| i == e.id) {
             eprintln!("=== {} — {} ===", e.id, e.description);
             let t0 = Instant::now();
-            let report = (e.run)(cfg);
-            println!("{report}");
+            let outcome = (e.run)(cfg);
+            println!("{}", outcome.report);
+            failed.extend(outcome.failed.into_iter().map(|c| format!("{} {c}", e.id)));
             let secs = t0.elapsed().as_secs_f64();
             // Drained per experiment: everything since the last drain is
             // this experiment's engine traffic (cached cells run no sims
@@ -198,7 +204,14 @@ fn main() -> ExitCode {
     }
 
     print_run_summary(&timings, &proteus_runner::take_session_stats());
-    ExitCode::SUCCESS
+    if failed.is_empty() {
+        return ExitCode::SUCCESS;
+    }
+    eprintln!("=== {} invariant check(s) FAILED ===", failed.len());
+    for check in &failed {
+        eprintln!("  {check}");
+    }
+    ExitCode::FAILURE
 }
 
 /// Wall time plus engine event totals for one experiment.

@@ -31,7 +31,27 @@ pub struct Experiment {
     /// What it reproduces.
     pub description: &'static str,
     /// Entry point.
-    pub run: fn(RunCfg) -> String,
+    pub run: fn(RunCfg) -> Outcome,
+}
+
+/// What one experiment run hands back to its caller (e.g. `repro`).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Outcome {
+    /// The rendered report text.
+    pub report: String,
+    /// One name per failed invariant check (`<cell> <check>`); empty when
+    /// every check held or the experiment enforces none.
+    pub failed: Vec<String>,
+}
+
+impl From<String> for Outcome {
+    /// The outcome of an experiment that enforces no invariants.
+    fn from(report: String) -> Self {
+        Outcome {
+            report,
+            failed: Vec::new(),
+        }
+    }
 }
 
 /// All experiments, in paper order.
@@ -41,78 +61,78 @@ pub fn registry() -> Vec<Experiment> {
             id: "fig2",
             description:
                 "PDF of RTT deviation/gradient under Poisson CUBIC flows + confusion probability",
-            run: fig2::run_experiment,
+            run: |cfg| fig2::run_experiment(cfg).into(),
         },
         Experiment {
             id: "fig3",
             description: "Bottleneck saturation with varying buffer size (throughput + inflation)",
-            run: fig3::run_experiment,
+            run: |cfg| fig3::run_experiment(cfg).into(),
         },
         Experiment {
             id: "fig4",
             description: "Random-loss tolerance",
-            run: fig4::run_experiment,
+            run: |cfg| fig4::run_experiment(cfg).into(),
         },
         Experiment {
             id: "fig5",
             description: "Jain's fairness index vs number of flows",
-            run: fig5::run_experiment,
+            run: |cfg| fig5::run_experiment(cfg).into(),
         },
         Experiment {
             id: "fig6",
             description: "Scavenger vs primary: throughput ratio and utilization",
-            run: fig6::run_experiment,
+            run: |cfg| fig6::run_experiment(cfg).into(),
         },
         Experiment {
             id: "fig7",
             description: "95th-percentile RTT ratio under competition",
-            run: fig7::run_experiment,
+            run: |cfg| fig7::run_experiment(cfg).into(),
         },
         Experiment {
             id: "fig8",
             description: "Primary throughput ratio CDF across bottleneck configurations",
-            run: fig8::run_experiment,
+            run: |cfg| fig8::run_experiment(cfg).into(),
         },
         Experiment {
             id: "fig9",
             description: "WiFi single-flow throughput + yielding CDFs (also covers fig10/21/22)",
-            run: wifi::run_experiment,
+            run: |cfg| wifi::run_experiment(cfg).into(),
         },
         Experiment {
             id: "fig11",
             description: "DASH bitrate and page-load time with background scavengers",
-            run: fig11::run_experiment,
+            run: |cfg| fig11::run_experiment(cfg).into(),
         },
         Experiment {
             id: "fig12",
             description: "Proteus-H vs Proteus-P: adaptive video bitrate/rebuffering",
-            run: fig12::run_experiment,
+            run: |cfg| fig12::run_experiment(cfg).into(),
         },
         Experiment {
             id: "fig13",
             description: "Proteus-H vs Proteus-P: forced-max-bitrate rebuffering",
-            run: fig12::run_experiment_forced,
+            run: |cfg| fig12::run_experiment_forced(cfg).into(),
         },
         Experiment {
             id: "fig14",
             description: "BBR-S: RTT-deviation yielding grafted onto BBR",
-            run: fig14::run_experiment,
+            run: |cfg| fig14::run_experiment(cfg).into(),
         },
         Experiment {
             id: "appB",
             description: "Appendix B: LEDBAT-25 cannot be saved by tuning (figs 15-20)",
-            run: appendix_b::run_experiment,
+            run: |cfg| appendix_b::run_experiment(cfg).into(),
         },
         Experiment {
             id: "ablation",
             description:
                 "Design ablations: each S5 noise mechanism, majority rule, deviation coefficient",
-            run: ablation::run_experiment,
+            run: |cfg| ablation::run_experiment(cfg).into(),
         },
         Experiment {
             id: "theory",
             description: "Appendix A equilibria + S4.4 hybrid ideal allocation",
-            run: equilibrium::run_experiment,
+            run: |cfg| equilibrium::run_experiment(cfg).into(),
         },
         Experiment {
             id: "stress",
@@ -142,7 +162,7 @@ pub fn registry() -> Vec<Experiment> {
             id: "tune",
             description:
                 "Offline parameter search + utility ablation: grid sweep and genetic refinement over ProteusConfig space",
-            run: tune::run_experiment,
+            run: |cfg| tune::run_experiment(cfg).into(),
         },
     ]
 }

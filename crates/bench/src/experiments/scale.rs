@@ -37,6 +37,7 @@ use proteus_transport::Dur;
 
 use proteus_runner::{payload, SimJob};
 
+use crate::experiments::Outcome;
 use crate::protocols::cc;
 use crate::report::{f2, results_dir, write_file, Table};
 use crate::runner::campaign;
@@ -512,6 +513,18 @@ impl ScaleOutcome {
     pub fn failures(&self) -> Vec<&ScaleCheck> {
         self.checks.iter().filter(|c| !c.pass).collect()
     }
+
+    /// The registry's view: the report plus one name per failed check.
+    pub fn into_outcome(self) -> Outcome {
+        Outcome {
+            failed: self
+                .failures()
+                .iter()
+                .map(|c| format!("{} {}", c.cell, c.check))
+                .collect(),
+            report: self.report,
+        }
+    }
 }
 
 fn verdict(pass: bool) -> String {
@@ -715,9 +728,10 @@ pub fn run_with_outcome(cfg: RunCfg) -> ScaleOutcome {
     }
 }
 
-/// Registry entry point: runs the campaign and returns the report.
-pub fn run_experiment(cfg: RunCfg) -> String {
-    run_with_outcome(cfg).report
+/// Registry entry point: runs the campaign and returns the report with
+/// the names of the failed invariant checks.
+pub fn run_experiment(cfg: RunCfg) -> Outcome {
+    run_with_outcome(cfg).into_outcome()
 }
 
 #[cfg(test)]
@@ -773,5 +787,10 @@ mod tests {
         assert!(mk(true).all_pass());
         assert!(!mk(false).all_pass());
         assert_eq!(mk(false).failures().len(), 1);
+        assert!(mk(true).into_outcome().failed.is_empty());
+        assert_eq!(
+            mk(false).into_outcome().failed,
+            ["fair-1k equilibrium-jain"]
+        );
     }
 }

@@ -36,6 +36,7 @@ use proteus_transport::Dur;
 
 use proteus_runner::{payload, SimJob};
 
+use crate::experiments::Outcome;
 use crate::mi_trace::MiTraceSink;
 use crate::protocols::cc_traced;
 use crate::report::{f2, results_dir, write_file, Table};
@@ -377,6 +378,18 @@ impl StressOutcome {
     pub fn failures(&self) -> Vec<&InvariantCheck> {
         self.checks.iter().filter(|c| !c.pass).collect()
     }
+
+    /// The registry's view: the report plus one name per failed check.
+    pub fn into_outcome(self) -> Outcome {
+        Outcome {
+            failed: self
+                .failures()
+                .iter()
+                .map(|c| format!("{} {} {}", c.profile, c.subject, c.check))
+                .collect(),
+            report: self.report,
+        }
+    }
 }
 
 fn verdict(pass: bool) -> String {
@@ -552,9 +565,10 @@ pub fn run_with_outcome(cfg: RunCfg) -> StressOutcome {
     }
 }
 
-/// Registry entry point: runs the campaign and returns the report.
-pub fn run_experiment(cfg: RunCfg) -> String {
-    run_with_outcome(cfg).report
+/// Registry entry point: runs the campaign and returns the report with
+/// the names of the failed invariant checks.
+pub fn run_experiment(cfg: RunCfg) -> Outcome {
+    run_with_outcome(cfg).into_outcome()
 }
 
 #[cfg(test)]
@@ -601,5 +615,7 @@ mod tests {
         assert!(mk(true).all_pass());
         assert!(!mk(false).all_pass());
         assert_eq!(mk(false).failures().len(), 1);
+        assert!(mk(true).into_outcome().failed.is_empty());
+        assert_eq!(mk(false).into_outcome().failed, ["clean CUBIC progress"]);
     }
 }

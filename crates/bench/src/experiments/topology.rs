@@ -33,6 +33,7 @@ use proteus_transport::Dur;
 
 use proteus_runner::{payload, SimJob};
 
+use crate::experiments::Outcome;
 use crate::protocols::cc;
 use crate::report::{f2, results_dir, write_file, Table};
 use crate::runner::{campaign, tail_mbps};
@@ -211,6 +212,18 @@ impl TopologyOutcome {
     /// The checks that failed.
     pub fn failures(&self) -> Vec<&TopologyCheck> {
         self.checks.iter().filter(|c| !c.pass).collect()
+    }
+
+    /// The registry's view: the report plus one name per failed check.
+    pub fn into_outcome(self) -> Outcome {
+        Outcome {
+            failed: self
+                .failures()
+                .iter()
+                .map(|c| format!("{} {}", c.cell, c.check))
+                .collect(),
+            report: self.report,
+        }
     }
 }
 
@@ -408,9 +421,10 @@ pub fn run_with_outcome(cfg: RunCfg) -> TopologyOutcome {
     }
 }
 
-/// Registry entry point: runs the campaign and returns the report.
-pub fn run_experiment(cfg: RunCfg) -> String {
-    run_with_outcome(cfg).report
+/// Registry entry point: runs the campaign and returns the report with
+/// the names of the failed invariant checks.
+pub fn run_experiment(cfg: RunCfg) -> Outcome {
+    run_with_outcome(cfg).into_outcome()
 }
 
 #[cfg(test)]
@@ -445,5 +459,10 @@ mod tests {
         assert!(mk(true).all_pass());
         assert!(!mk(false).all_pass());
         assert_eq!(mk(false).failures().len(), 1);
+        assert!(mk(true).into_outcome().failed.is_empty());
+        assert_eq!(
+            mk(false).into_outcome().failed,
+            ["parking-2/CUBIC progress"]
+        );
     }
 }

@@ -85,12 +85,17 @@ impl Table {
 /// root, or `$PROTEUS_RESULTS_DIR` when set (the golden-output test points
 /// this at a scratch directory so running experiments cannot clobber the
 /// committed full-fidelity reports).
+///
+/// # Panics
+/// Panics, naming the directory, if it cannot be created.
 pub fn results_dir() -> PathBuf {
     let dir = match std::env::var_os("PROTEUS_RESULTS_DIR") {
         Some(d) if !d.is_empty() => PathBuf::from(d),
         _ => PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results"),
     };
-    let _ = fs::create_dir_all(&dir);
+    if let Err(e) = fs::create_dir_all(&dir) {
+        panic!("cannot create {}: {e}", dir.display());
+    }
     dir
 }
 

@@ -46,7 +46,8 @@ fn quick_fig2_matches_golden() {
     let report = (fig2.run)(RunCfg {
         cache: false,
         ..RunCfg::quick()
-    });
+    })
+    .report;
     std::env::remove_var("PROTEUS_RESULTS_DIR");
 
     let golden_dir = repo_path("results/golden");

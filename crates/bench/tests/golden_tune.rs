@@ -38,7 +38,8 @@ fn quick_tune_matches_golden() {
     let report = (tune.run)(RunCfg {
         cache: false,
         ..RunCfg::quick()
-    });
+    })
+    .report;
     std::env::remove_var("PROTEUS_RESULTS_DIR");
     assert!(
         report.contains("maximize scav_util"),

@@ -49,27 +49,39 @@
 //!
 //! # Fused wire path
 //!
-//! On a clean path (no fault schedule, no latency noise) every stage of a
-//! packet's wire trip is deterministic at admission, and each stage's
-//! timestamps are monotone non-decreasing in admission order: departures
-//! inherit the link's monotone `free_at`, deliveries add a constant forward
-//! propagation, and ACK returns add a constant reverse propagation. The
-//! engine exploits this by routing the per-packet `Delivery` → `AckArrival`
-//! chain through a FIFO wire ring ([`WirePath::Fused`], the default)
-//! instead of the scheduler: two push/pop pairs per packet become one ring
-//! slot with two cursors, and the main loop merges the scheduler with the
-//! two (sorted) wire streams by `(time, seq)`. Event sequence numbers are
-//! still assigned at exactly the instants the staged path assigns them —
-//! two at admission (departure and delivery), one at delivery dispatch — so
-//! every dispatched event carries the identical `(time, seq)` key and the
-//! total dispatch order (and with it every result byte) is unchanged by
-//! construction. Scenarios with faults or
-//! noise transparently fall back to the staged path — their draws are
-//! RNG-order- and state-sensitive — which also remains selectable
-//! explicitly ([`WirePath::Staged`]) as the executable ordering reference
-//! for the equivalence suite (`tests/wire_equivalence.rs`). Multi-link
-//! topologies gate fusion off the same way: per-hop admission interleaves
-//! across links in ways the FIFO ring cannot express.
+//! [`WirePath::Fused`] (the default) serves in-order wire events outside
+//! the scheduler, in one of two forms chosen at build time. Both keep every
+//! event's exact `(time, seq)` key — the key the staged path would have
+//! pushed it under — and merge their sorted streams with the scheduler on
+//! that key, so the total dispatch order (and with it every RNG draw and
+//! every result byte) is unchanged by construction.
+//!
+//! *The wire ring* serves clean single-link runs (no fault schedule, no
+//! latency noise). There every stage of a packet's wire trip is
+//! deterministic at admission and each stage's timestamps are monotone
+//! non-decreasing in admission order: departures inherit the link's
+//! monotone `free_at`, deliveries add a constant forward propagation, and
+//! ACK returns add a constant reverse propagation. The per-packet
+//! `Delivery` → `AckArrival` chain becomes one ring slot with two cursors,
+//! and the main loop is a 3-way merge of the scheduler with the two stage
+//! streams. Event sequence numbers are still assigned at exactly the
+//! instants the staged path assigns them — two at admission (departure and
+//! delivery), one at delivery dispatch.
+//!
+//! *Wire lanes* serve every other run (multi-link, noisy or faulted). Each
+//! link owns a forward lane for the `HopArrival`/`Delivery` events its
+//! departures produce, and each distinct flow path owns an ACK lane for its
+//! `AckArrival`s. A lane is a FIFO sorted by `(time, seq)`: a wire event
+//! takes the next sequence number exactly as a scheduler push would, and
+//! joins its lane only if it is no earlier than the lane's tail (the
+//! sequence number only grows, so the lane stays sorted); a packet whose
+//! noise, reordering or fault perturbation breaks that order is pushed to
+//! the scheduler instead. The main loop pops the smallest key among the
+//! scheduler head and the lane heads.
+//!
+//! [`WirePath::Staged`] stages every wire event through the scheduler and
+//! remains the executable ordering reference for the equivalence suites
+//! (`tests/wire_equivalence.rs`, `tests/topology_equivalence.rs`).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,8 +91,8 @@ use rand::rngs::SmallRng;
 use rand::{RngExt as Rng, SeedableRng};
 
 use proteus_transport::{
-    AckInfo, BulkApp, Dur, FlowId, FrameRecord, LossInfo, SentPacket, SeqNr, Time,
-    DEFAULT_PACKET_BYTES,
+    AckInfo, Application, BulkApp, CongestionControl, Dur, FlowId, FrameRecord, LossInfo,
+    SentPacket, SeqNr, Time, DEFAULT_PACKET_BYTES,
 };
 
 use crate::dist;
@@ -123,19 +135,18 @@ pub const LINK_FAULT_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 ///
 /// Mirrors [`crate::sched::Scheduler`]: [`WirePath::Fused`] is the default
 /// optimized implementation, [`WirePath::Staged`] keeps the original
-/// two-event scheduler chain available as an executable ordering
-/// reference so tests can assert the two produce identical results and
-/// benches can measure the before/after. Fused execution applies only when
-/// the scenario has no fault schedule and no latency noise; otherwise the
-/// engine transparently runs staged regardless of this setting (fault and
-/// noise draws are RNG-order- and state-sensitive, exactly like the
-/// `with_faults` empty-schedule normalization rule).
+/// scheduler chain available as an executable ordering reference so tests
+/// can assert the two produce identical results and benches can measure
+/// the before/after. Fused execution serves clean single-link runs (no
+/// fault schedule, no latency noise) from the wire ring and every other run
+/// from per-link and per-path wire lanes, which hand any out-of-order event
+/// back to the scheduler (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WirePath {
-    /// Per-packet wire chain routed through the fused wire ring (default).
+    /// In-order wire events served outside the scheduler (default).
     #[default]
     Fused,
-    /// Per-packet wire chain staged through the scheduler (reference).
+    /// Every wire event staged through the scheduler (reference).
     Staged,
 }
 
@@ -149,7 +160,7 @@ pub enum WirePath {
 pub struct SessionEventTotals {
     /// Events dispatched (scheduler pops plus fused wire phases).
     pub dispatched: u64,
-    /// Dispatches served by the fused wire pipeline.
+    /// Dispatches served outside the scheduler (see [`EventStats::fused`]).
     pub fused: u64,
 }
 
@@ -301,6 +312,114 @@ impl WirePipeline {
     }
 }
 
+/// Merge key of a lane entry: `(time, seq)` packed so that one `u128`
+/// comparison orders two entries.
+#[inline]
+fn lane_key(at: Time, seq: u64) -> u128 {
+    ((at.as_nanos() as u128) << 64) | seq as u128
+}
+
+/// Which lane a wire event belongs to (see [`WireLanes`]).
+#[derive(Clone, Copy)]
+enum Lane {
+    /// The forward lane of a link: the `HopArrival`/`Delivery` events its
+    /// departures produce.
+    Fwd(usize),
+    /// The ACK lane of a flow's path.
+    Ack(FlowId),
+}
+
+/// Wire lanes: FIFOs of wire events, each sorted by `(time, seq)` (see the
+/// module docs and [`Sim::push_wire`]). Lanes `0..links` are the per-link
+/// forward lanes; lane `links + i` is the ACK lane of interned path `i`.
+/// Built only on lane runs; each lane allocates on its first event.
+#[derive(Debug)]
+struct WireLanes {
+    /// [`lane_key`] of each lane's head, `u128::MAX` when the lane is empty.
+    heads: Vec<u128>,
+    lanes: Vec<VecDeque<(Time, u64, Event)>>,
+    /// Distinct flow paths, in order of first use.
+    paths: Vec<Arc<[LinkId]>>,
+    /// ACK lane index of each flow, by flow id.
+    ack_lane: Vec<u32>,
+}
+
+impl WireLanes {
+    /// Empty lanes for `links` links, with room for up to `paths` distinct
+    /// paths and `flows` flows before any vector regrows.
+    fn new(links: usize, paths: usize, flows: usize) -> Self {
+        let mut heads = Vec::with_capacity(links + paths);
+        heads.resize(links, u128::MAX);
+        let mut lanes = Vec::with_capacity(links + paths);
+        lanes.resize_with(links, VecDeque::new);
+        WireLanes {
+            heads,
+            lanes,
+            paths: Vec::with_capacity(paths),
+            ack_lane: Vec::with_capacity(flows),
+        }
+    }
+
+    /// Assigns the next flow the ACK lane of `path`, opening one for a path
+    /// not seen before.
+    fn intern_flow(&mut self, path: &Arc<[LinkId]>) {
+        let i = match self.paths.iter().position(|p| p == path) {
+            Some(i) => i,
+            None => {
+                self.paths.push(Arc::clone(path));
+                self.heads.push(u128::MAX);
+                self.lanes.push(VecDeque::new());
+                self.paths.len() - 1
+            }
+        };
+        let links = self.heads.len() - self.paths.len();
+        self.ack_lane.push((links + i) as u32);
+    }
+
+    /// Appends `(at, seq, ev)` to `lane` if that keeps it sorted; returns
+    /// whether it did.
+    #[inline]
+    fn admit(&mut self, lane: Lane, at: Time, seq: u64, ev: Event) -> bool {
+        let li = match lane {
+            Lane::Fwd(link) => link,
+            Lane::Ack(flow) => self.ack_lane[flow] as usize,
+        };
+        let q = &mut self.lanes[li];
+        match q.back() {
+            None => self.heads[li] = lane_key(at, seq),
+            Some(&(tail, _, _)) if at >= tail => {}
+            Some(_) => return false,
+        }
+        q.push_back((at, seq, ev));
+        true
+    }
+
+    /// The lane holding the smallest head key below `bound`, if any.
+    #[inline]
+    fn min_below(&self, bound: u128) -> Option<usize> {
+        let mut best = bound;
+        let mut lane = None;
+        for (i, &h) in self.heads.iter().enumerate() {
+            if h < best {
+                best = h;
+                lane = Some(i);
+            }
+        }
+        lane
+    }
+
+    /// Removes the head of a non-empty lane.
+    #[inline]
+    fn pop(&mut self, li: usize) -> (Time, u64, Event) {
+        let q = &mut self.lanes[li];
+        let head = q.pop_front().expect("lane head vanished");
+        self.heads[li] = q
+            .front()
+            .map_or(u128::MAX, |&(at, seq, _)| lane_key(at, seq));
+        head
+    }
+}
+
 /// Which stream the fused main loop's 3-way `(time, seq)` merge chose.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum FusedSrc {
@@ -401,6 +520,9 @@ pub struct Sim {
     /// Fused wire ring; `Some` iff the scenario selected [`WirePath::Fused`]
     /// and the path is clean (no faults, no noise).
     wire: Option<WirePipeline>,
+    /// Wire lanes; `Some` iff the scenario selected [`WirePath::Fused`] and
+    /// the wire ring's gate failed.
+    lanes: Option<WireLanes>,
 }
 
 impl Sim {
@@ -465,16 +587,15 @@ impl Sim {
             }
         }
 
-        // Fusion gate: fault schedules and latency noise make wire-stage
+        // Wire-ring gate: fault schedules and latency noise make wire-stage
         // draws RNG-order- and state-sensitive, and multi-link paths route
         // packets through per-hop admissions the FIFO ring cannot express,
-        // so those scenarios run the staged reference path regardless of
-        // the selector (the same normalization rule as `with_faults` with
-        // an empty schedule).
-        let fused = wire_path == WirePath::Fused
-            && link_specs.len() == 1
+        // so those scenarios run on wire lanes instead, which admit only
+        // the events that arrive in order.
+        let ring = link_specs.len() == 1
             && link_faults.iter().all(|f| f.is_none())
             && link_specs[0].noise == NoiseConfig::None;
+        let fused = wire_path == WirePath::Fused;
 
         // Initial scheduler capacity is derived from the scenario, not a
         // fixed constant: every static flow contributes a start (and maybe a
@@ -538,7 +659,15 @@ impl Sim {
             frame_scratch: Vec::new(),
             fault_changes: Vec::new(),
             events: EventStats::default(),
-            wire: fused.then(WirePipeline::new),
+            wire: (fused && ring).then(WirePipeline::new),
+            lanes: (fused && !ring).then(|| {
+                // Distinct paths at set-up: at most the default path, one
+                // per explicit flow path and one per churn class.
+                let paths = 1
+                    + flows.iter().filter(|f| f.path.is_some()).count()
+                    + churn.as_ref().map_or(0, |c| c.classes.len());
+                WireLanes::new(link_specs.len(), paths, flow_capacity)
+            }),
         };
 
         // Per-link fault runtimes: link 0 keeps the exact legacy seed (zero
@@ -563,9 +692,7 @@ impl Sim {
                 Some(p) => Arc::from(p.as_slice()),
                 None => Arc::clone(&sim.default_path),
             };
-            let id = sim
-                .flows
-                .push_flow((spec.cc)(), (spec.app)(), spec.reliable, path);
+            let id = sim.push_flow((spec.cc)(), (spec.app)(), spec.reliable, path);
             sim.flows.stop_at[id] = spec.stop.map(|d| Time::ZERO + d);
             sim.metrics
                 .push(FlowMetrics::new(id, spec.name, throughput_bin, rtt_stride));
@@ -636,9 +763,28 @@ impl Sim {
         sim
     }
 
+    /// Adds a flow to the flow table (and, on lane runs, gives it the ACK
+    /// lane of its path) and returns its id.
+    fn push_flow(
+        &mut self,
+        cc: Box<dyn CongestionControl>,
+        app: Box<dyn Application>,
+        reliable: bool,
+        path: Arc<[LinkId]>,
+    ) -> FlowId {
+        if let Some(lanes) = &mut self.lanes {
+            lanes.intern_flow(&path);
+        }
+        self.flows.push_flow(cc, app, reliable, path)
+    }
+
     fn push(&mut self, at: Time, ev: Event) {
         self.event_seq += 1;
-        self.queue.push(at, self.event_seq, ev);
+        self.sched_push(at, self.event_seq, ev);
+    }
+
+    fn sched_push(&mut self, at: Time, seq: u64, ev: Event) {
+        self.queue.push(at, seq, ev);
         self.events.pushes += 1;
         let depth = self.queue.len() as u64;
         if depth > self.events.peak_queue {
@@ -646,11 +792,30 @@ impl Sim {
         }
     }
 
+    /// Schedules a wire event (`HopArrival`, `Delivery` or `AckArrival`).
+    /// It takes the next event sequence number, exactly as [`Sim::push`]
+    /// would, so its `(time, seq)` key is the staged one. On lane runs it
+    /// joins `lane` when `at` is no earlier than the lane's tail — the lane
+    /// stays sorted because `seq` only grows — and otherwise goes to the
+    /// scheduler.
+    fn push_wire(&mut self, lane: Lane, at: Time, ev: Event) {
+        self.event_seq += 1;
+        let seq = self.event_seq;
+        if let Some(lanes) = &mut self.lanes {
+            if lanes.admit(lane, at, seq, ev) {
+                return;
+            }
+        }
+        self.sched_push(at, seq, ev);
+    }
+
     /// Runs the scenario to completion and returns the measurements.
     pub fn run(mut self) -> SimResult {
         let end = Time::ZERO + self.duration;
         if self.wire.is_some() {
             self.run_fused(end);
+        } else if self.lanes.is_some() {
+            self.run_lanes(end);
         } else {
             self.run_staged(end);
         }
@@ -745,12 +910,45 @@ impl Sim {
         }
     }
 
+    /// The lane main loop: merges the scheduler with the wire lanes,
+    /// always dispatching the smallest `(time, seq)` key among the
+    /// scheduler head and the lane heads. Every key is the one the staged
+    /// path would have pushed, so the dispatch order is the staged one.
+    fn run_lanes(&mut self, end: Time) {
+        let end_key = lane_key(end, u64::MAX);
+        loop {
+            let sched = self
+                .queue
+                .peek()
+                .map_or(u128::MAX, |(at, seq)| lane_key(at, seq));
+            let lanes = self.lanes.as_mut().expect("run_lanes requires lanes");
+            let (at, seq, ev) = match lanes.min_below(sched) {
+                Some(li) => {
+                    if lanes.heads[li] > end_key {
+                        break;
+                    }
+                    self.events.fused += 1;
+                    lanes.pop(li)
+                }
+                None => {
+                    if sched > end_key {
+                        break;
+                    }
+                    self.queue.pop().expect("peeked head vanished")
+                }
+            };
+            self.now = at;
+            self.cur_seq = seq;
+            self.dispatch(ev);
+        }
+    }
+
     /// Releases link `li`'s departures keyed below `(now, seq)`, counting
-    /// each as a `QueueDrain` dispatch (and a fused one on the fused path).
+    /// each as a `QueueDrain` dispatch (and a fused one on fused runs).
     fn release_departures(&mut self, li: usize, now: Time, seq: u64) {
         let released = self.links[li].link.release_before(now, seq);
         self.events.pops[K_QUEUE_DRAIN] += released;
-        if self.wire.is_some() {
+        if self.wire.is_some() || self.lanes.is_some() {
             self.events.fused += released;
         }
     }
@@ -1020,7 +1218,8 @@ impl Sim {
             arrival = self.flows.last_ack_arrival_at[flow];
         }
         self.flows.last_ack_arrival_at[flow] = arrival;
-        self.push(
+        self.push_wire(
+            Lane::Ack(flow),
             arrival,
             Event::AckArrival {
                 flow: flow as u32,
@@ -1277,7 +1476,7 @@ impl Sim {
         let id = self.flows.len();
         let cc = (self.cross.as_ref().expect("cross exists").cc)(id);
         let path = Arc::clone(&self.default_path);
-        self.flows.push_flow(
+        self.push_flow(
             cc,
             Box::new(proteus_transport::SizedApp::new(size)),
             true,
@@ -1319,7 +1518,7 @@ impl Sim {
         let cc = (ch.classes[class_idx].cc)(id);
         let name = format!("{}~{n}", ch.classes[class_idx].name);
         let path = Arc::clone(&ch.class_paths[class_idx]);
-        self.flows.push_flow(cc, Box::new(BulkApp), false, path);
+        self.push_flow(cc, Box::new(BulkApp), false, path);
         let stop = start + lifetime;
         self.flows.stop_at[id] = Some(stop);
         self.metrics.push(FlowMetrics::new(
@@ -1546,7 +1745,8 @@ impl Sim {
             if let Some(extra) = reorder_extra {
                 arrives_at += extra;
             }
-            self.push(
+            self.push_wire(
+                Lane::Fwd(li),
                 arrives_at,
                 Event::HopArrival {
                     flow: flow as u32,
@@ -1570,7 +1770,8 @@ impl Sim {
             }
             self.flows.last_delivery_at[flow] = arrives_at;
         }
-        self.push(
+        self.push_wire(
+            Lane::Fwd(li),
             arrives_at,
             Event::Delivery {
                 flow: flow as u32,
@@ -1988,6 +2189,41 @@ mod tests {
             "churn must draw from its own RNG stream"
         );
         assert_eq!(without.flows[0].bytes_acked, with.flows[0].bytes_acked);
+    }
+
+    #[test]
+    fn wire_lanes_admit_only_in_order_events() {
+        let mut w = WireLanes::new(2, 1, 3);
+        let full: Arc<[LinkId]> = Arc::from(vec![0, 1]);
+        w.intern_flow(&full);
+        w.intern_flow(&Arc::from(vec![0, 1])); // equal path, other allocation
+        w.intern_flow(&Arc::from(vec![1]));
+        assert_eq!(w.ack_lane, [2, 2, 3], "one ACK lane per distinct path");
+
+        let t = |ms| Time::ZERO + Dur::from_millis(ms);
+        let ev = Event::SpawnCross;
+        assert_eq!(w.min_below(u128::MAX), None);
+        assert!(w.admit(Lane::Fwd(1), t(5), 1, ev));
+        assert!(
+            w.admit(Lane::Fwd(1), t(5), 2, ev),
+            "a time tie sorts by seq"
+        );
+        assert!(!w.admit(Lane::Fwd(1), t(4), 3, ev), "earlier than the tail");
+        assert!(w.admit(Lane::Ack(1), t(6), 4, ev));
+        assert!(w.admit(Lane::Ack(2), t(3), 5, ev));
+
+        // The merge pops the smallest (time, seq) head below the bound.
+        assert_eq!(w.min_below(lane_key(t(3), 5)), None);
+        let mut order = Vec::new();
+        while let Some(li) = w.min_below(u128::MAX) {
+            let (at, seq, _) = w.pop(li);
+            order.push((li, at, seq));
+        }
+        assert_eq!(
+            order,
+            [(3, t(3), 5), (1, t(5), 1), (1, t(5), 2), (2, t(6), 4)]
+        );
+        assert!(w.heads.iter().all(|&h| h == u128::MAX));
     }
 
     #[test]

@@ -406,19 +406,19 @@ pub const EVENT_KIND_NAMES: [&str; 15] = [
 ];
 
 /// Event-loop accounting for one simulation run: how many events of each
-/// kind were dispatched, how many went through the scheduler versus the
-/// fused wire pipeline, and how deep the scheduler got.
+/// kind were dispatched, how many went through the scheduler versus being
+/// served outside it, and how deep the scheduler got.
 ///
 /// These counters describe *execution mechanics*, not observable behavior:
 /// a staged and a fused run of the same scenario dispatch the identical
-/// event sequence (so [`EventStats::pops`] agrees), but the fused run pushes
-/// the per-packet wire chain through the wire ring instead of the scheduler
-/// (so `pushes`, `peak_queue` and `fused` differ). Buffer releases never
-/// touch the scheduler on either path: each link departure released from
-/// the link's FIFO counts as one `QueueDrain` pop (and, on a fused run, one
-/// `fused` dispatch) without a push. Equivalence tests that compare full
-/// [`SimResult`] digests across execution paths must therefore zero this
-/// field first.
+/// event sequence (so [`EventStats::pops`] agrees), but the fused run
+/// serves in-order wire events from the wire ring or the wire lanes
+/// instead of the scheduler (so `pushes`, `peak_queue` and `fused` differ).
+/// Buffer releases never touch the scheduler on either path: each link
+/// departure released from the link's FIFO counts as one `QueueDrain` pop
+/// (and, on a fused run, one `fused` dispatch) without a push. Equivalence
+/// tests that compare full [`SimResult`] digests across execution paths
+/// must therefore zero this field first.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventStats {
     /// Events dispatched, by kind (indices match [`EVENT_KIND_NAMES`]).
@@ -430,8 +430,10 @@ pub struct EventStats {
     pub pushes: u64,
     /// Peak number of events pending in the scheduler.
     pub peak_queue: u64,
-    /// Dispatches served by the fused wire pipeline instead of the
-    /// scheduler (zero on the staged path).
+    /// Dispatches served outside the scheduler (zero on the staged path):
+    /// wire-ring phases or wire-lane pops, plus released departures on
+    /// fused runs. When the scheduler and the lanes run dry before the end,
+    /// `pushes == dispatched() - fused`.
     pub fused: u64,
 }
 
@@ -441,7 +443,7 @@ impl EventStats {
         self.pops.iter().sum()
     }
 
-    /// Fraction of dispatches served by the fused wire pipeline.
+    /// Fraction of dispatches served outside the scheduler.
     pub fn fused_fraction(&self) -> f64 {
         let total = self.dispatched();
         if total == 0 {

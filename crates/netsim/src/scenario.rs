@@ -363,9 +363,9 @@ pub struct Scenario {
     /// heap remains available as a reference for equivalence tests and
     /// before/after benchmarks).
     pub scheduler: Scheduler,
-    /// Wire-path execution strategy (fused by default, with automatic
-    /// fallback to staged when faults or noise are attached; the staged
-    /// chain remains selectable as the executable ordering reference — see
+    /// Wire-path execution strategy (fused by default: the wire ring on
+    /// clean single-link runs, wire lanes otherwise; the staged chain
+    /// remains selectable as the executable ordering reference — see
     /// [`WirePath`]).
     pub wire_path: WirePath,
 }
@@ -477,8 +477,10 @@ impl Scenario {
     /// Selects the wire-path execution strategy (default:
     /// [`WirePath::Fused`]). Fused execution collapses the per-packet
     /// `Delivery`/`AckArrival` scheduler chain into a wire ring on clean
-    /// paths and transparently falls back to staged when the scenario
-    /// attaches faults or noise; results are byte-identical either way
+    /// single-link paths; on multi-link, noisy or faulted scenarios it
+    /// serves in-order `HopArrival`/`Delivery`/`AckArrival` events from
+    /// per-link and per-path wire lanes and pushes only the out-of-order
+    /// ones to the scheduler. Results are byte-identical either way
     /// (`tests/wire_equivalence.rs`). Buffer release is the link's own
     /// departure FIFO on both paths.
     pub fn with_wire_path(mut self, wire_path: WirePath) -> Self {

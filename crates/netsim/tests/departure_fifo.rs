@@ -2,12 +2,16 @@
 //! never go through the scheduler, yet each counts as one `QueueDrain`
 //! dispatch, exactly one per departure due by the end of the run, and every
 //! link conserves packets (accepted = departed + still queued; the next hop
-//! sees every departure as an offer).
+//! sees every departure as an offer). On the default wire path the same
+//! clean chain runs on wire lanes, which serve every wire event outside
+//! the scheduler.
 //!
 //! These are exact event counts, not timings, so they double as a
 //! noise-free proxy for the engine's per-packet scheduler cost.
 
-use proteus_netsim::{run, FlowSpec, LinkSpec, Scenario, SimResult, Topology, EVENT_KIND_NAMES};
+use proteus_netsim::{
+    run, FlowSpec, LinkSpec, Scenario, SimResult, Topology, WirePath, EVENT_KIND_NAMES,
+};
 use proteus_transport::{AckInfo, CongestionControl, Dur, LossInfo, Time, DEFAULT_PACKET_BYTES};
 
 /// Fixed congestion window, ACK-clocked; ignores losses.
@@ -37,9 +41,8 @@ fn kind(name: &str) -> usize {
 }
 
 /// A 3-link chain whose middle link is the bottleneck, with one bulk flow
-/// over all three hops overdriving it (so hop 1 tail-drops). Multi-link
-/// topologies always run the staged wire path.
-fn chain(duration_s: u64, stop_s: Option<u64>) -> SimResult {
+/// over all three hops overdriving it (so hop 1 tail-drops).
+fn chain_on(wire: WirePath, duration_s: u64, stop_s: Option<u64>) -> SimResult {
     let topo = Topology::chain(vec![
         LinkSpec::new(30.0, Dur::from_millis(10), 60_000),
         LinkSpec::new(20.0, Dur::from_millis(10), 60_000),
@@ -49,10 +52,20 @@ fn chain(duration_s: u64, stop_s: Option<u64>) -> SimResult {
     if let Some(s) = stop_s {
         flow = flow.with_stop(Dur::from_secs(s));
     }
-    let r = run(Scenario::over(topo, Dur::from_secs(duration_s))
+    run(Scenario::over(topo, Dur::from_secs(duration_s))
         .flow(flow)
-        .with_seed(5));
-    assert_eq!(r.events.fused, 0, "a multi-link chain runs staged");
+        .with_seed(5)
+        .with_wire_path(wire))
+}
+
+/// The chain on the staged reference path, where every event but a
+/// released departure goes through the scheduler.
+fn chain(duration_s: u64, stop_s: Option<u64>) -> SimResult {
+    let r = chain_on(WirePath::Staged, duration_s, stop_s);
+    assert_eq!(
+        r.events.fused, 0,
+        "the staged path serves nothing off the scheduler"
+    );
     r
 }
 
@@ -133,4 +146,31 @@ fn run_end_releases_only_departures_due_by_the_end() {
     // Pushes only ever carry non-departure events: at least one per
     // non-departure dispatch, plus whatever was pending at the end.
     assert!(ev.pushes >= ev.dispatched() - drains);
+}
+
+#[test]
+fn lanes_serve_every_wire_event_of_a_clean_chain() {
+    let r = chain_on(WirePath::Fused, 6, Some(2));
+    let staged = chain(6, Some(2));
+    let ev = &r.events;
+    assert_eq!(
+        ev.pops, staged.events.pops,
+        "lanes keep the dispatch sequence"
+    );
+
+    // The scheduler ran dry, so its pushes are exactly the dispatches not
+    // served outside it.
+    assert_eq!(ev.pushes, ev.dispatched() - ev.fused);
+
+    // A clean chain keeps every lane in order: every released departure
+    // and every wire event is served outside the scheduler.
+    let wire: u64 = ["QueueDrain", "HopArrival", "Delivery", "AckArrival"]
+        .iter()
+        .map(|k| ev.pops[kind(k)])
+        .sum();
+    assert_eq!(ev.fused, wire);
+    assert_eq!(
+        ev.pushes + wire,
+        staged.events.pushes + ev.pops[kind("QueueDrain")]
+    );
 }

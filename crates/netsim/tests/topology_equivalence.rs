@@ -6,8 +6,9 @@
 //! (DESIGN.md §4g). These tests pin that reduction over the legacy scenario
 //! matrix (multi-flow + cross traffic + noise + loss, faults, churn), pin
 //! the topology-level fault attachment against the legacy scenario-level
-//! one, and pin the fused-path gate: multi-link topologies must fall back
-//! to the staged path with identical observable results.
+//! one, and pin the fused-path split: multi-link topologies run on wire
+//! lanes with the staged path's observable results, single-link ones on the
+//! wire ring.
 
 use proteus_netsim::{
     run, ChurnClass, ChurnSpec, CrossTrafficSpec, FaultSchedule, FlowSpec, GilbertElliott,
@@ -192,11 +193,10 @@ fn churned_single_link_topology_matches_legacy() {
     );
 }
 
-/// Multi-link topologies must gate the fused wire path off and fall back to
-/// the staged scheduler, with identical observable results whichever path
-/// was requested.
+/// Multi-link topologies fail the wire ring's gate and run on wire lanes,
+/// with identical observable results whichever path was requested.
 #[test]
-fn multi_link_topology_gates_fusion_off() {
+fn multi_link_topology_runs_on_lanes() {
     let mk = |wp: WirePath| {
         let topo = Topology::chain(vec![
             LinkSpec::new(50.0, Dur::from_millis(10), 375_000),
@@ -211,10 +211,15 @@ fn multi_link_topology_gates_fusion_off() {
     };
     let fused_req = run(mk(WirePath::Fused));
     let staged = run(mk(WirePath::Staged));
-    assert_eq!(
-        fused_req.events.fused, 0,
-        "a multi-link topology must never dispatch through the wire ring"
+    assert!(
+        fused_req.events.fused > 0,
+        "wire lanes must serve a multi-link topology"
     );
+    assert!(
+        fused_req.events.pushes < staged.events.pushes,
+        "lanes must take wire events off the scheduler"
+    );
+    assert_eq!(staged.events.fused, 0);
     assert_eq!(
         digest_scrubbed(&fused_req),
         digest_scrubbed(&staged),
@@ -222,8 +227,8 @@ fn multi_link_topology_gates_fusion_off() {
     );
 }
 
-/// Single-link topologies still fuse: the gate only trips on multi-link,
-/// per-link faults, or noise.
+/// Single-link topologies still take the wire ring: its gate only trips on
+/// multi-link, per-link faults, or noise.
 #[test]
 fn single_link_topology_still_fuses() {
     let r = run(Scenario::new(

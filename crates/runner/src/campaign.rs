@@ -315,30 +315,42 @@ impl Campaign {
         CampaignResult { outputs, stats }
     }
 
-    /// Rewrites one cached artifact to its declared path. Write failures
-    /// are ignored like cache-store failures: replay is best-effort, and a
-    /// reader that needs the file will see it missing and re-run without a
-    /// cache (`--no-cache`) to regenerate it.
+    /// Rewrites one cached artifact to its declared path.
+    ///
+    /// # Panics
+    /// Panics, naming the path, if the directory or the file cannot be
+    /// written: a replay that silently fails leaves a stale artifact from
+    /// an earlier run in place.
     fn replay_artifact(path: &std::path::Path, content: &str) {
         if let Some(parent) = path.parent() {
-            let _ = std::fs::create_dir_all(parent);
+            if let Err(e) = std::fs::create_dir_all(parent) {
+                panic!("cannot create {}: {e}", parent.display());
+            }
         }
-        let _ = std::fs::write(path, content);
+        if let Err(e) = std::fs::write(path, content) {
+            panic!("cannot write {}: {e}", path.display());
+        }
     }
 
-    /// Appends one stats line to the JSONL trajectory file. I/O errors are
-    /// ignored: accounting must never fail a campaign.
+    /// Appends one stats line to the JSONL trajectory file. Accounting
+    /// must never fail a campaign, so an I/O error only warns on stderr.
     fn append_summary(path: &std::path::Path, stats: &CampaignStats) {
         use std::io::Write;
-        if let Some(parent) = path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            let _ = writeln!(f, "{}", stats.to_json());
+        let appended = path
+            .parent()
+            .map_or(Ok(()), std::fs::create_dir_all)
+            .and_then(|()| {
+                let mut f = std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(path)?;
+                writeln!(f, "{}", stats.to_json())
+            });
+        if let Err(e) = appended {
+            eprintln!(
+                "warning: cannot append campaign stats to {}: {e}",
+                path.display()
+            );
         }
     }
 }
@@ -485,6 +497,22 @@ mod tests {
             std::fs::read_to_string(&artifact).unwrap(),
             "{\"event\":\"mi_close\"}\n"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_artifact_replay_names_the_path() {
+        let dir = tmp_dir("artifact-replay-fails");
+        // A regular file where the artifact's directory should be.
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("blocker"), "").unwrap();
+        let blocked = dir.join("blocker").join("trace.jsonl");
+        let err = std::panic::catch_unwind(|| Campaign::replay_artifact(&blocked, "x"))
+            .expect_err("replaying below a regular file must panic");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert!(msg.contains("blocker"), "panic must name the path: {msg}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
