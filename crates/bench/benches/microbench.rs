@@ -7,8 +7,8 @@ use std::hint::black_box;
 
 use proteus_core::{evaluate, MiObservation, Mode, ProteusSender, SharedThreshold, UtilityParams};
 use proteus_netsim::{
-    run, AckCompression, FaultSchedule, FlowSpec, GilbertElliott, LinkSpec, NoiseConfig,
-    ReorderConfig, Scenario, Topology, WirePath,
+    run, run_staged, AckCompression, FaultSchedule, FlowSpec, GilbertElliott, LinkSpec,
+    NoiseConfig, ReorderConfig, Scenario, SimResult, Topology,
 };
 use proteus_transport::{AckInfo, CongestionControl, Dur, MiStats, MiTracker, SentPacket, Time};
 
@@ -233,7 +233,7 @@ fn bench_simulator(c: &mut Criterion) {
 }
 
 /// Fixed congestion window: pure ACK-clocking, no pacing events. Isolates
-/// the engine's per-packet cost (heap, in-flight tracking, metrics) from
+/// the engine's per-packet cost (scheduler, in-flight tracking, metrics) from
 /// controller logic.
 struct FixedWindow {
     cwnd: u64,
@@ -321,16 +321,17 @@ fn bench_engine_loop(c: &mut Criterion) {
 }
 
 /// Wire-path benchmarks: the per-packet wire chain in isolation, fused
-/// against the staged reference on the same scenarios. On a clean link
-/// (ACK-clocked and paced — the two shapes every experiment reduces to)
-/// the fused path is the wire ring: two scheduler push/pop pairs per packet
-/// collapse into one ring slot with two cursors. A faulted link and a
-/// 3-hop chain with WiFi noise on its middle hop run on wire lanes, which
-/// serve the in-order `HopArrival`/`Delivery`/`AckArrival` events outside
-/// the scheduler and push the rest to it. Buffer release goes through each
-/// link's departure FIFO on every path, so none pays a scheduler event for
-/// it.
+/// (`run`) against the staged reference (`run_staged`) on the same
+/// scenarios. On a clean link (ACK-clocked and paced — the two shapes every
+/// experiment reduces to) the fused path is the wire ring: two scheduler
+/// push/pop pairs per packet collapse into one ring slot with two cursors.
+/// A faulted link and a 3-hop chain with WiFi noise on its middle hop run
+/// on wire lanes, which serve the in-order `HopArrival`/`Delivery`/
+/// `AckArrival` events outside the scheduler and push the rest to it.
+/// Buffer release goes through each link's departure FIFO on every path,
+/// so none pays a scheduler event for it.
 fn bench_wire(c: &mut Criterion) {
+    type Runner = fn(Scenario) -> SimResult;
     let mut group = c.benchmark_group("engine/wire");
     let link = || LinkSpec::new(50.0, Dur::from_millis(30), 375_000);
     let win = || FlowSpec::bulk("w", Dur::ZERO, || Box::new(FixedWindow { cwnd: 375_000 }));
@@ -340,31 +341,29 @@ fn bench_wire(c: &mut Criterion) {
         })
     };
 
-    for (name, path) in [
-        ("ack_clocked_fused_2s", WirePath::Fused),
-        ("ack_clocked_staged_2s", WirePath::Staged),
+    for (name, runner) in [
+        ("ack_clocked_fused_2s", run as Runner),
+        ("ack_clocked_staged_2s", run_staged),
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let sc = Scenario::new(link(), Dur::from_secs(2))
                     .flow(win())
-                    .with_seed(7)
-                    .with_wire_path(path);
-                black_box(run(sc).flows[0].bytes_acked)
+                    .with_seed(7);
+                black_box(runner(sc).flows[0].bytes_acked)
             })
         });
     }
-    for (name, path) in [
-        ("paced_fused_2s", WirePath::Fused),
-        ("paced_staged_2s", WirePath::Staged),
+    for (name, runner) in [
+        ("paced_fused_2s", run as Runner),
+        ("paced_staged_2s", run_staged),
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let sc = Scenario::new(link(), Dur::from_secs(2))
                     .flow(paced())
-                    .with_seed(7)
-                    .with_wire_path(path);
-                black_box(run(sc).flows[0].bytes_acked)
+                    .with_seed(7);
+                black_box(runner(sc).flows[0].bytes_acked)
             })
         });
     }
@@ -378,16 +377,15 @@ fn bench_wire(c: &mut Criterion) {
             let sc = Scenario::new(link(), Dur::from_secs(2))
                 .flow(win())
                 .with_seed(7)
-                .with_faults(faults)
-                .with_wire_path(WirePath::Fused);
+                .with_faults(faults);
             black_box(run(sc).flows[0].bytes_acked)
         })
     });
     // Multi-hop lanes: per-link forward lanes and a per-path ACK lane, with
     // the noisy middle hop's out-of-order arrivals pushed to the scheduler.
-    for (name, path) in [
-        ("chain3_noisy_fused_2s", WirePath::Fused),
-        ("chain3_noisy_staged_2s", WirePath::Staged),
+    for (name, runner) in [
+        ("chain3_noisy_fused_2s", run as Runner),
+        ("chain3_noisy_staged_2s", run_staged),
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {
@@ -398,9 +396,8 @@ fn bench_wire(c: &mut Criterion) {
                 ]);
                 let sc = Scenario::over(topo, Dur::from_secs(2))
                     .flow(win())
-                    .with_seed(7)
-                    .with_wire_path(path);
-                black_box(run(sc).flows[0].bytes_acked)
+                    .with_seed(7);
+                black_box(runner(sc).flows[0].bytes_acked)
             })
         });
     }
@@ -464,18 +461,16 @@ fn bench_fault_path(c: &mut Criterion) {
 /// Population-scale benchmarks for the timing-wheel scheduler (DESIGN.md
 /// §4c), in two layers:
 ///
-/// * `sched_{wheel,heap}_{1k,10k}` — steady-state pop-one/push-one through
-///   the `EventQueue` facade with N events pending, deltas cycling through
-///   every wheel region (same slot, low levels, overflow). This is the
-///   O(1)-vs-O(log n) comparison in isolation: per-operation cost, so the
-///   wheel's advantage should *grow* from 1k to 10k.
-/// * `e2e_churn_{wheel,heap}` — a full churning simulation (250 warm-start
-///   paced flows, Poisson arrivals, 4 s), identical except for the
-///   scheduler, so the delta is the wheel's end-to-end win on the workload
-///   the `scale` campaign runs at 40× the size.
+/// * `sched_wheel_{1k,10k}` — steady-state pop-one/push-one through the
+///   wheel with N events pending, deltas cycling through every wheel region
+///   (same slot, low levels, overflow): per-operation cost, which should
+///   stay flat from 1k to 10k.
+/// * `e2e_churn_wheel` — a full churning simulation (250 warm-start paced
+///   flows, Poisson arrivals, 4 s), the workload the `scale` campaign runs
+///   at 40× the size.
 fn bench_scale(c: &mut Criterion) {
-    use proteus_netsim::sched::EventQueue;
-    use proteus_netsim::{ChurnClass, ChurnSpec, Scheduler};
+    use proteus_netsim::sched::TimingWheel;
+    use proteus_netsim::{ChurnClass, ChurnSpec};
 
     let mut group = c.benchmark_group("scale");
     // Delta mix matching the engine's event-horizon distribution on a
@@ -502,56 +497,42 @@ fn bench_scale(c: &mut Criterion) {
         30_000_000,
         300_000_000,
     ];
-    for (n, wheel_label, heap_label) in [
-        (1_000usize, "sched_wheel_1k", "sched_heap_1k"),
-        (10_000, "sched_wheel_10k", "sched_heap_10k"),
-    ] {
-        for (label, kind) in [
-            (wheel_label, Scheduler::Wheel),
-            (heap_label, Scheduler::Heap),
-        ] {
-            group.bench_function(label, |b| {
-                let mut q: EventQueue<u64> = EventQueue::new(kind, n);
-                let mut seq = 0u64;
-                for i in 0..n {
-                    seq += 1;
-                    q.push(Time::from_nanos(DELTAS[i % DELTAS.len()]), seq, seq);
-                }
-                b.iter(|| {
-                    let (at, _, v) = q.pop().expect("queue holds n events");
-                    seq += 1;
-                    let delta = DELTAS[(seq as usize) % DELTAS.len()];
-                    q.push(Time::from_nanos(at.as_nanos() + delta), seq, seq);
-                    black_box(v)
-                })
-            });
-        }
-    }
-
-    for (label, kind) in [
-        ("e2e_churn_wheel", Scheduler::Wheel),
-        ("e2e_churn_heap", Scheduler::Heap),
-    ] {
+    for (n, label) in [(1_000usize, "sched_wheel_1k"), (10_000, "sched_wheel_10k")] {
         group.bench_function(label, |b| {
+            let mut q: TimingWheel<u64> = TimingWheel::with_capacity(n);
+            let mut seq = 0u64;
+            for i in 0..n {
+                seq += 1;
+                q.push(Time::from_nanos(DELTAS[i % DELTAS.len()]), seq, seq);
+            }
             b.iter(|| {
-                let classes = vec![ChurnClass::new(
-                    "paced",
-                    1.0,
-                    proteus_transport::factory(|_| FixedPaced { rate: 125_000.0 }),
-                )];
-                let sc = Scenario::new(
-                    LinkSpec::new(250.0, Dur::from_millis(30), 1_875_000),
-                    Dur::from_secs(4),
-                )
-                .with_churn(ChurnSpec::new(50.0, Dur::from_secs(5), classes).with_initial(250))
-                .with_rtt_stride(64)
-                .with_throughput_bin(Dur::from_secs(1))
-                .with_scheduler(kind)
-                .with_seed(7);
-                black_box(run(sc).flows.len())
+                let (at, _, v) = q.pop().expect("queue holds n events");
+                seq += 1;
+                let delta = DELTAS[(seq as usize) % DELTAS.len()];
+                q.push(Time::from_nanos(at.as_nanos() + delta), seq, seq);
+                black_box(v)
             })
         });
     }
+
+    group.bench_function("e2e_churn_wheel", |b| {
+        b.iter(|| {
+            let classes = vec![ChurnClass::new(
+                "paced",
+                1.0,
+                proteus_transport::factory(|_| FixedPaced { rate: 125_000.0 }),
+            )];
+            let sc = Scenario::new(
+                LinkSpec::new(250.0, Dur::from_millis(30), 1_875_000),
+                Dur::from_secs(4),
+            )
+            .with_churn(ChurnSpec::new(50.0, Dur::from_secs(5), classes).with_initial(250))
+            .with_rtt_stride(64)
+            .with_throughput_bin(Dur::from_secs(1))
+            .with_seed(7);
+            black_box(run(sc).flows.len())
+        })
+    });
     group.finish();
 }
 

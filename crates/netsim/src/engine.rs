@@ -26,11 +26,8 @@
 //! run end it releases every departure due by the end. Each release counts
 //! as a dispatched `QueueDrain` in [`EventStats`].
 //!
-//! Events are ordered by `(time, push sequence)` through the scheduler in
-//! [`crate::sched`] (a hierarchical timing wheel by default, with the
-//! reference binary heap selectable per scenario); both implementations pop
-//! in exactly that total order, so results do not depend on the scheduler
-//! choice.
+//! Events are ordered by `(time, push sequence)` through the timing wheel in
+//! [`crate::sched`], which pops in exactly that total order.
 //!
 //! Loss detection mirrors TCP practice: a packet is declared lost when a
 //! packet sent three or more sequence numbers later is ACKed (dup-ACK
@@ -49,8 +46,8 @@
 //!
 //! # Fused wire path
 //!
-//! [`WirePath::Fused`] (the default) serves in-order wire events outside
-//! the scheduler, in one of two forms chosen at build time. Both keep every
+//! [`run`] serves in-order wire events outside the scheduler, in one of two
+//! forms chosen at build time from the scenario itself. Both keep every
 //! event's exact `(time, seq)` key — the key the staged path would have
 //! pushed it under — and merge their sorted streams with the scheduler on
 //! that key, so the total dispatch order (and with it every RNG draw and
@@ -79,9 +76,9 @@
 //! the scheduler instead. The main loop pops the smallest key among the
 //! scheduler head and the lane heads.
 //!
-//! [`WirePath::Staged`] stages every wire event through the scheduler and
-//! remains the executable ordering reference for the equivalence suites
-//! (`tests/wire_equivalence.rs`, `tests/topology_equivalence.rs`).
+//! [`run_staged`] builds neither form, so every wire event goes through the
+//! scheduler. It is the executable ordering reference for the equivalence
+//! suites (`tests/wire_equivalence.rs`, `tests/topology_equivalence.rs`).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -102,7 +99,7 @@ use crate::link::{BottleneckLink, Offer};
 use crate::metrics::{EventStats, FlowMetrics, LinkSummary, SimResult, TraceEvent};
 use crate::noise::{NoiseConfig, NoiseState};
 use crate::scenario::{ChurnClass, Scenario};
-use crate::sched::EventQueue;
+use crate::sched::TimingWheel;
 use crate::topology::{LinkId, Topology};
 
 /// Dup-ACK threshold: a packet is lost once a packet sent this many
@@ -130,25 +127,6 @@ pub const CHURN_SEED_SALT: u64 = 0xC44E_5EED_0000_0002;
 /// link draws from an independent stream — attaching a schedule to link *k*
 /// never perturbs link *j*'s bursts or reordering.
 pub const LINK_FAULT_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Which wire-path execution strategy a scenario runs on.
-///
-/// Mirrors [`crate::sched::Scheduler`]: [`WirePath::Fused`] is the default
-/// optimized implementation, [`WirePath::Staged`] keeps the original
-/// scheduler chain available as an executable ordering reference so tests
-/// can assert the two produce identical results and benches can measure
-/// the before/after. Fused execution serves clean single-link runs (no
-/// fault schedule, no latency noise) from the wire ring and every other run
-/// from per-link and per-path wire lanes, which hand any out-of-order event
-/// back to the scheduler (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WirePath {
-    /// In-order wire events served outside the scheduler (default).
-    #[default]
-    Fused,
-    /// Every wire event staged through the scheduler (reference).
-    Staged,
-}
 
 /// Process-wide engine event totals accumulated since the last
 /// [`take_session_event_totals`] drain. Mirrors
@@ -477,7 +455,7 @@ struct LinkState {
 /// [`Sim::run`], or use the [`run`] convenience function.
 pub struct Sim {
     now: Time,
-    queue: EventQueue<Event>,
+    queue: TimingWheel<Event>,
     event_seq: u64,
     /// Sequence number of the event being dispatched: with `now`, the key
     /// below which link departures have already happened.
@@ -505,7 +483,6 @@ pub struct Sim {
     id_scratch: Vec<u32>,
     cross: Option<CrossState>,
     churn: Option<ChurnState>,
-    link_rate_bps: f64,
     /// Reusable scratch for loss sweeps (dup-ACK and RTO), so the per-ACK
     /// and per-RTO paths stay allocation-free after warm-up.
     loss_scratch: Vec<(SeqNr, Time, u64)>,
@@ -517,11 +494,12 @@ pub struct Sim {
     fault_changes: Vec<(LinkId, LinkChange)>,
     /// Event-queue traffic accounting (mechanics, not behavior).
     events: EventStats,
-    /// Fused wire ring; `Some` iff the scenario selected [`WirePath::Fused`]
-    /// and the path is clean (no faults, no noise).
+    /// Fused wire ring; `Some` iff the run is fused and the path is a clean
+    /// single link (no faults, no noise).
     wire: Option<WirePipeline>,
-    /// Wire lanes; `Some` iff the scenario selected [`WirePath::Fused`] and
-    /// the wire ring's gate failed.
+    /// Wire lanes; `Some` iff the run is fused and the wire ring's gate
+    /// failed. With neither ring nor lanes every wire event is staged
+    /// through the scheduler ([`run_staged`]).
     lanes: Option<WireLanes>,
 }
 
@@ -534,6 +512,12 @@ impl Sim {
     /// schedule is attached to link 0 both via `Scenario::with_faults` and
     /// `Topology::with_faults`.
     pub fn new(scenario: Scenario) -> Self {
+        Self::build(scenario, true)
+    }
+
+    /// Builds the engine; `fuse` selects the wire ring or wire lanes,
+    /// otherwise every wire event is staged through the scheduler.
+    fn build(scenario: Scenario, fuse: bool) -> Self {
         // Validate every declared path against the topology before
         // consuming the scenario (default paths are valid by construction).
         for spec in &scenario.flows {
@@ -565,8 +549,6 @@ impl Sim {
             trace_every,
             faults,
             churn,
-            scheduler,
-            wire_path,
         } = scenario;
         let Topology {
             links: link_specs,
@@ -595,7 +577,6 @@ impl Sim {
         let ring = link_specs.len() == 1
             && link_faults.iter().all(|f| f.is_none())
             && link_specs[0].noise == NoiseConfig::None;
-        let fused = wire_path == WirePath::Fused;
 
         // Initial scheduler capacity is derived from the scenario, not a
         // fixed constant: every static flow contributes a start (and maybe a
@@ -614,7 +595,6 @@ impl Sim {
 
         let default_path: Arc<[LinkId]> =
             (0..link_specs.len() as LinkId).collect::<Vec<_>>().into();
-        let link_rate_bps = link_specs[0].rate_bps();
         let links: Vec<LinkState> = link_specs
             .iter()
             .map(|spec| {
@@ -634,7 +614,7 @@ impl Sim {
 
         let mut sim = Sim {
             now: Time::ZERO,
-            queue: EventQueue::new(scheduler, capacity),
+            queue: TimingWheel::with_capacity(capacity),
             event_seq: 0,
             cur_seq: 0,
             links,
@@ -654,13 +634,12 @@ impl Sim {
             id_scratch: Vec::new(),
             cross: None,
             churn: None,
-            link_rate_bps,
             loss_scratch: Vec::new(),
             frame_scratch: Vec::new(),
             fault_changes: Vec::new(),
             events: EventStats::default(),
-            wire: (fused && ring).then(WirePipeline::new),
-            lanes: (fused && !ring).then(|| {
+            wire: (fuse && ring).then(WirePipeline::new),
+            lanes: (fuse && !ring).then(|| {
                 // Distinct paths at set-up: at most the default path, one
                 // per explicit flow path and one per churn class.
                 let paths = 1
@@ -814,10 +793,8 @@ impl Sim {
         let end = Time::ZERO + self.duration;
         if self.wire.is_some() {
             self.run_fused(end);
-        } else if self.lanes.is_some() {
-            self.run_lanes(end);
         } else {
-            self.run_staged(end);
+            self.run_lanes(end);
         }
         for li in 0..self.links.len() {
             self.release_departures(li, end, u64::MAX);
@@ -844,27 +821,11 @@ impl Sim {
         SimResult {
             flows: self.metrics,
             duration: self.duration,
-            link_rate_bps: self.link_rate_bps,
-            link_delivered_bytes: links[0].delivered_bytes,
-            link_dropped_pkts: links[0].dropped_pkts,
-            fault_stats: links[0].fault_stats,
             links,
             queue_samples: self.queue_samples,
             trace: self.trace,
             decisions: self.decisions,
             events: self.events,
-        }
-    }
-
-    /// The staged reference loop: every event flows through the scheduler.
-    fn run_staged(&mut self, end: Time) {
-        while let Some((at, seq, ev)) = self.queue.pop() {
-            if at > end {
-                break;
-            }
-            self.now = at;
-            self.cur_seq = seq;
-            self.dispatch(ev);
         }
     }
 
@@ -914,6 +875,7 @@ impl Sim {
     /// always dispatching the smallest `(time, seq)` key among the
     /// scheduler head and the lane heads. Every key is the one the staged
     /// path would have pushed, so the dispatch order is the staged one.
+    /// Without lanes ([`run_staged`]) the scheduler is the only stream.
     fn run_lanes(&mut self, end: Time) {
         let end_key = lane_key(end, u64::MAX);
         loop {
@@ -921,9 +883,10 @@ impl Sim {
                 .queue
                 .peek()
                 .map_or(u128::MAX, |(at, seq)| lane_key(at, seq));
-            let lanes = self.lanes.as_mut().expect("run_lanes requires lanes");
-            let (at, seq, ev) = match lanes.min_below(sched) {
+            let lane = self.lanes.as_ref().and_then(|l| l.min_below(sched));
+            let (at, seq, ev) = match lane {
                 Some(li) => {
+                    let lanes = self.lanes.as_mut().expect("lane chosen without lanes");
                     if lanes.heads[li] > end_key {
                         break;
                     }
@@ -1833,11 +1796,19 @@ pub fn run(scenario: Scenario) -> SimResult {
     Sim::new(scenario).run()
 }
 
+/// Runs a scenario with every wire event (`HopArrival`, `Delivery`,
+/// `AckArrival`) staged through the scheduler: the ordering reference that
+/// the equivalence suites compare [`run`] against. Every event keeps the
+/// `(time, seq)` key it has under [`run`], so the results are identical;
+/// only [`EventStats`] differs (more pushes, nothing fused).
+pub fn run_staged(scenario: Scenario) -> SimResult {
+    Sim::build(scenario, false).run()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::{ChurnSpec, CrossTrafficSpec, FlowSpec, LinkSpec};
-    use crate::sched::Scheduler;
     use proteus_transport::CongestionControl;
 
     /// Fixed congestion window, ACK-clocked. Ignores losses.
@@ -2039,7 +2010,7 @@ mod tests {
         let r2 = run(mk());
         assert_eq!(r1.flows[0].bytes_acked, r2.flows[0].bytes_acked);
         assert_eq!(r1.flows[0].pkts_lost, r2.flows[0].pkts_lost);
-        assert_eq!(r1.link_dropped_pkts, r2.link_dropped_pkts);
+        assert_eq!(r1.links[0].dropped_pkts, r2.links[0].dropped_pkts);
     }
 
     #[test]
@@ -2139,7 +2110,7 @@ mod tests {
     }
 
     #[test]
-    fn churn_is_deterministic_and_scheduler_independent() {
+    fn churn_is_deterministic() {
         let digest = |res: &SimResult| {
             res.flows
                 .iter()
@@ -2149,8 +2120,6 @@ mod tests {
         let r1 = run(churn_scenario(17));
         let r2 = run(churn_scenario(17));
         assert_eq!(digest(&r1), digest(&r2));
-        let r3 = run(churn_scenario(17).with_scheduler(Scheduler::Heap));
-        assert_eq!(digest(&r1), digest(&r3));
     }
 
     #[test]
@@ -2236,7 +2205,7 @@ mod tests {
             ))
         };
         let fused = run(mk());
-        let staged = run(mk().with_wire_path(WirePath::Staged));
+        let staged = run_staged(mk());
 
         // Dispatched-by-kind counts are path-independent: the fused wire
         // phases count under the event kind they replace.

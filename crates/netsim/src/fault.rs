@@ -7,7 +7,7 @@
 //!
 //! * **Link events** ([`LinkChange`]) — timed steps of bottleneck bandwidth
 //!   or base RTT (route changes) and full outages (link flaps), dispatched
-//!   through the event heap like any other simulation event,
+//!   through the scheduler like any other simulation event,
 //! * **Bursty loss** ([`GilbertElliott`]) — a two-state Gilbert–Elliott
 //!   chain layered on top of `LinkSpec::random_loss`,
 //! * **Reordering** ([`ReorderConfig`]) — a fraction of data packets is
@@ -135,7 +135,7 @@ pub struct AckCompression {
 /// fault vocabulary and determinism rules.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultSchedule {
-    /// Timed link changes (need not be pre-sorted; the event heap orders
+    /// Timed link changes (need not be pre-sorted; the scheduler orders
     /// them, breaking ties by list position).
     pub link_events: Vec<(Dur, LinkChange)>,
     /// Bursty-loss chain, if any.
@@ -223,7 +223,8 @@ impl FaultSchedule {
 }
 
 /// Counters of what the fault layer actually did during a run, reported in
-/// [`crate::SimResult::fault_stats`]. All zero when no schedule is set.
+/// each link's [`crate::LinkSummary::fault_stats`]. All zero when no
+/// schedule is set.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Link changes applied (bandwidth/RTT steps, down/up edges).

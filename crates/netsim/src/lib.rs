@@ -14,7 +14,8 @@
 //! * [`Scenario`]/[`FlowSpec`]/[`CrossTrafficSpec`] — declarative experiment
 //!   descriptions,
 //! * [`Sim`]/[`run`] — the event engine driving [`CongestionControl`]
-//!   implementations,
+//!   implementations on one timing-wheel scheduler, with [`run_staged`] as
+//!   its staged-wire ordering reference,
 //! * [`SimResult`]/[`FlowMetrics`] — per-run measurements.
 //!
 //! [`CongestionControl`]: proteus_transport::CongestionControl
@@ -57,7 +58,7 @@ pub mod scenario;
 pub mod sched;
 pub mod topology;
 
-pub use engine::{run, take_session_event_totals, SessionEventTotals, Sim, WirePath};
+pub use engine::{run, run_staged, take_session_event_totals, SessionEventTotals, Sim};
 pub use fault::{
     AckCompression, FaultSchedule, FaultStats, GilbertElliott, LinkChange, ReorderConfig,
 };
@@ -70,5 +71,4 @@ pub use noise::{NoiseConfig, WifiNoiseConfig};
 pub use scenario::{
     CcBuilder, ChurnClass, ChurnSpec, CrossTrafficSpec, FlowSpec, LinkSpec, Scenario,
 };
-pub use sched::Scheduler;
 pub use topology::{LinkId, Topology};

@@ -8,10 +8,8 @@
 
 use proteus_transport::{Application, BulkApp, CcFactory, CongestionControl, Dur, SizedApp};
 
-use crate::engine::WirePath;
 use crate::fault::FaultSchedule;
 use crate::noise::NoiseConfig;
-use crate::sched::Scheduler;
 use crate::topology::{LinkId, Topology};
 
 /// Bottleneck link parameters.
@@ -359,15 +357,6 @@ pub struct Scenario {
     /// Poisson flow churn (population scenarios), if any. `None` keeps the
     /// static-flow path: existing results stay byte-identical.
     pub churn: Option<ChurnSpec>,
-    /// Event-scheduler implementation (timing wheel by default; the binary
-    /// heap remains available as a reference for equivalence tests and
-    /// before/after benchmarks).
-    pub scheduler: Scheduler,
-    /// Wire-path execution strategy (fused by default: the wire ring on
-    /// clean single-link runs, wire lanes otherwise; the staged chain
-    /// remains selectable as the executable ordering reference — see
-    /// [`WirePath`]).
-    pub wire_path: WirePath,
 }
 
 impl Scenario {
@@ -393,8 +382,6 @@ impl Scenario {
             trace_every: None,
             faults: None,
             churn: None,
-            scheduler: Scheduler::default(),
-            wire_path: WirePath::default(),
         }
     }
 
@@ -466,27 +453,6 @@ impl Scenario {
         };
         self
     }
-
-    /// Selects the event-scheduler implementation (default:
-    /// [`Scheduler::Wheel`]).
-    pub fn with_scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Selects the wire-path execution strategy (default:
-    /// [`WirePath::Fused`]). Fused execution collapses the per-packet
-    /// `Delivery`/`AckArrival` scheduler chain into a wire ring on clean
-    /// single-link paths; on multi-link, noisy or faulted scenarios it
-    /// serves in-order `HopArrival`/`Delivery`/`AckArrival` events from
-    /// per-link and per-path wire lanes and pushes only the out-of-order
-    /// ones to the scheduler. Results are byte-identical either way
-    /// (`tests/wire_equivalence.rs`). Buffer release is the link's own
-    /// departure FIFO on both paths.
-    pub fn with_wire_path(mut self, wire_path: WirePath) -> Self {
-        self.wire_path = wire_path;
-        self
-    }
 }
 
 impl std::fmt::Debug for Scenario {
@@ -499,8 +465,6 @@ impl std::fmt::Debug for Scenario {
             .field("seed", &self.seed)
             .field("faults", &self.faults)
             .field("churn", &self.churn)
-            .field("scheduler", &self.scheduler)
-            .field("wire_path", &self.wire_path)
             .finish()
     }
 }

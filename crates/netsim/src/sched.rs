@@ -1,14 +1,13 @@
-//! Event schedulers: a hierarchical timing wheel and a binary-heap reference.
+//! The engine's event scheduler: a hierarchical timing wheel.
 //!
 //! The engine orders events by `(time, sequence)` — earliest time first,
 //! ties broken by push order (the monotone sequence number the engine
-//! assigns on every push). PR 2 documented why this total order is
-//! load-bearing: same-timestamp tie order decides which flow acts first,
-//! so any scheduler swap must reproduce it *exactly* or every committed
-//! result changes. Both implementations here pop in that exact order;
-//! [`TimingWheel`] is the default, [`HeapQueue`] is kept as the executable
-//! reference for equivalence tests and before/after benchmarks
-//! (`scale/sched_*`).
+//! assigns on every push). This total order is load-bearing: same-timestamp
+//! tie order decides which flow acts first, so the scheduler must reproduce
+//! it *exactly* or every committed result changes. [`TimingWheel`] pops in
+//! that exact order; `tests/wheel_model.rs` checks its push, pop and peek
+//! sequences against `std::collections::BinaryHeap` as the ordering
+//! reference.
 //!
 //! # Timing-wheel layout
 //!
@@ -16,10 +15,10 @@
 //! Level-0 slots are [`GRANULARITY_NS`] wide (2^14 ns ≈ 16.4 µs); each
 //! higher level's slots are `SLOTS`× wider, so the levels span ≈ 4.2 ms,
 //! 1.07 s, 4.6 min and 19.5 h of future time. Events beyond the top level
-//! land in an unsorted overflow list that is redistributed when the wheel
-//! reaches it. Pushes append to a slot's `Vec` in O(1); occupancy bitmaps
-//! (one `u64` word per 64 slots) let the wheel skip empty slots without
-//! visiting them.
+//! land in an unsorted overflow list, which is redistributed once the top
+//! level's window reaches its earliest entry. Pushes append to a slot's
+//! `Vec` in O(1); occupancy bitmaps (one `u64` word per 64 slots) let the
+//! wheel skip empty slots without visiting them.
 //!
 //! Draining preserves the exact `(time, seq)` order: when the wheel
 //! advances, it repeatedly picks the *earliest-starting* occupied slot
@@ -32,7 +31,7 @@
 //! keeps intra-slot ordering exact. Because slots partition time and
 //! `current` is drained fully before the wheel advances past its slot, the
 //! pop sequence is globally sorted by `(time, seq)` — byte-identical to
-//! the binary heap's.
+//! a binary heap's.
 
 use proteus_transport::Time;
 
@@ -58,88 +57,6 @@ struct Entry<T> {
     item: T,
 }
 
-/// Which scheduler implementation a scenario runs on.
-///
-/// [`Scheduler::Wheel`] is the default; [`Scheduler::Heap`] keeps the
-/// original `BinaryHeap` scheduler available as an executable reference so
-/// tests can assert the two produce identical results and benches can
-/// measure the before/after.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// Hierarchical timing wheel (default).
-    #[default]
-    Wheel,
-    /// Global binary heap (reference implementation).
-    Heap,
-}
-
-/// Event queue facade over the two scheduler implementations; the engine
-/// holds one of these and pays a single predictable branch per operation.
-#[derive(Debug)]
-pub enum EventQueue<T> {
-    /// Timing-wheel backed queue.
-    Wheel(TimingWheel<T>),
-    /// Binary-heap backed queue.
-    Heap(HeapQueue<T>),
-}
-
-impl<T> EventQueue<T> {
-    /// Creates a queue of the given kind, pre-sized for `capacity` events
-    /// (derived by the engine from the scenario's flow count and fault
-    /// schedule — see `Sim::new`). Capacity is an initial reservation only:
-    /// both implementations grow without bound and never drop events.
-    pub fn new(kind: Scheduler, capacity: usize) -> Self {
-        match kind {
-            Scheduler::Wheel => EventQueue::Wheel(TimingWheel::with_capacity(capacity)),
-            Scheduler::Heap => EventQueue::Heap(HeapQueue::with_capacity(capacity)),
-        }
-    }
-
-    /// Schedules `item` at `(at, seq)`.
-    #[inline]
-    pub fn push(&mut self, at: Time, seq: u64, item: T) {
-        match self {
-            EventQueue::Wheel(w) => w.push(at, seq, item),
-            EventQueue::Heap(h) => h.push(at, seq, item),
-        }
-    }
-
-    /// Pops the earliest `(at, seq)` entry.
-    #[inline]
-    pub fn pop(&mut self) -> Option<(Time, u64, T)> {
-        match self {
-            EventQueue::Wheel(w) => w.pop(),
-            EventQueue::Heap(h) => h.pop(),
-        }
-    }
-
-    /// The `(at, seq)` key of the entry [`EventQueue::pop`] would return,
-    /// without removing it. `&mut` because the wheel may need to advance to
-    /// the next occupied slot to learn its minimum; advancing early is
-    /// order-neutral (later pushes inside the drained span land in the
-    /// `current` heap exactly as they would have on the pop itself).
-    #[inline]
-    pub fn peek(&mut self) -> Option<(Time, u64)> {
-        match self {
-            EventQueue::Wheel(w) => w.peek(),
-            EventQueue::Heap(h) => h.peek(),
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        match self {
-            EventQueue::Wheel(w) => w.len(),
-            EventQueue::Heap(h) => h.len(),
-        }
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// Hierarchical timing wheel (see the module docs for the layout and the
 /// ordering argument). Pops entries in exact `(time, seq)` order.
 #[derive(Debug)]
@@ -157,6 +74,8 @@ pub struct TimingWheel<T> {
     cur_end: u64,
     /// Events beyond the top level's span.
     overflow: Vec<Entry<T>>,
+    /// Smallest `at` in `overflow` (`u64::MAX` when empty).
+    overflow_min: u64,
     len: usize,
 }
 
@@ -173,6 +92,7 @@ impl<T> TimingWheel<T> {
             current: Vec::with_capacity(capacity),
             cur_end: 0,
             overflow: Vec::new(),
+            overflow_min: u64::MAX,
             len: 0,
         }
     }
@@ -239,7 +159,17 @@ impl<T> TimingWheel<T> {
                 return;
             }
         }
+        self.overflow_min = self.overflow_min.min(e.at);
         self.overflow.push(e);
+    }
+
+    /// Re-files every overflow entry against the current `cur_end`; those
+    /// still beyond the top level's window overflow again.
+    fn refile_overflow(&mut self) {
+        self.overflow_min = u64::MAX;
+        for e in std::mem::take(&mut self.overflow) {
+            self.place(e);
+        }
     }
 
     /// First occupied slot of `level` at absolute index `>= from` within
@@ -273,6 +203,15 @@ impl<T> TimingWheel<T> {
         loop {
             if self.len == 0 {
                 return false;
+            }
+            // Once the top level's window reaches the earliest overflow
+            // entry, file it before choosing a slot: it may precede every
+            // occupied slot, including later pushes into the top level.
+            let top = GRANULARITY_BITS + SLOT_BITS * (LEVELS as u32 - 1);
+            if !self.overflow.is_empty()
+                && (self.overflow_min >> top) - (self.cur_end >> top) < SLOTS as u64
+            {
+                self.refile_overflow();
             }
             // Earliest-starting occupied slot across levels; on equal
             // starts the *higher* level wins so its contents cascade down
@@ -315,74 +254,15 @@ impl<T> TimingWheel<T> {
                     // redistribute it (entries still beyond the top span
                     // re-overflow and are reached on a later jump).
                     debug_assert!(!self.overflow.is_empty());
-                    let min_at = self
-                        .overflow
-                        .iter()
-                        .map(|e| e.at)
-                        .min()
-                        .expect("overflow non-empty");
-                    self.cur_end = self.cur_end.max(min_at);
-                    let entries = std::mem::take(&mut self.overflow);
-                    for e in entries {
-                        self.place(e);
-                    }
+                    self.cur_end = self.cur_end.max(self.overflow_min);
+                    self.refile_overflow();
                 }
             }
         }
     }
 }
 
-/// Binary-heap scheduler: the engine's original implementation, kept as
-/// the executable ordering reference. Pops entries in `(time, seq)` order.
-#[derive(Debug)]
-pub struct HeapQueue<T> {
-    heap: Vec<Entry<T>>,
-}
-
-impl<T> HeapQueue<T> {
-    /// Creates a heap with room for `capacity` events.
-    pub fn with_capacity(capacity: usize) -> Self {
-        HeapQueue {
-            heap: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Schedules `item` at `(at, seq)`.
-    pub fn push(&mut self, at: Time, seq: u64, item: T) {
-        heap_push(
-            &mut self.heap,
-            Entry {
-                at: at.as_nanos(),
-                seq,
-                item,
-            },
-        );
-    }
-
-    /// Pops the earliest `(at, seq)` entry.
-    pub fn pop(&mut self) -> Option<(Time, u64, T)> {
-        let e = heap_pop(&mut self.heap)?;
-        Some((Time::from_nanos(e.at), e.seq, e.item))
-    }
-
-    /// The `(at, seq)` key the next [`HeapQueue::pop`] will return, without
-    /// removing the entry (`&mut` only to match the wheel's signature).
-    pub fn peek(&mut self) -> Option<(Time, u64)> {
-        self.heap.first().map(|e| (Time::from_nanos(e.at), e.seq))
-    }
-}
-
-// ---- shared array-backed min-heap on (at, seq) ----
+// ---- array-backed min-heap on (at, seq), used by the drain slot ----
 
 #[inline]
 fn before<T>(a: &Entry<T>, b: &Entry<T>) -> bool {
@@ -491,6 +371,23 @@ mod tests {
     }
 
     #[test]
+    fn overflow_entry_pops_before_a_later_push_into_the_top_level() {
+        // An entry filed in overflow stays there while the wheel advances;
+        // once the top level's window reaches it, a later push that lands
+        // in the top level must not pop first.
+        let top_span = GRANULARITY_NS * (SLOTS as u64).pow(4);
+        let x = top_span + top_span / 2; // beyond the top window at t=0
+        let mut w = TimingWheel::with_capacity(4);
+        w.push(Time::from_nanos(x), 1, 1);
+        let a = top_span / 2 + top_span / 4 + top_span / 8;
+        w.push(Time::from_nanos(a), 2, 2);
+        assert_eq!(w.pop(), Some((Time::from_nanos(a), 2, 2)));
+        // The top window now covers `x`; `x + 1` files into the top level.
+        w.push(Time::from_nanos(x + 1), 3, 3);
+        assert_eq!(drain_all(&mut w), vec![(x, 1, 1), (x + 1, 3, 3)]);
+    }
+
+    #[test]
     fn pushes_at_current_instant_interleave_correctly() {
         // Events pushed "now" while draining a slot must honor the seq
         // tiebreak against entries already in the slot.
@@ -527,44 +424,21 @@ mod tests {
 
     #[test]
     fn peek_matches_pop_and_is_non_destructive() {
-        for kind in [Scheduler::Wheel, Scheduler::Heap] {
-            let mut q: EventQueue<u32> = EventQueue::new(kind, 4);
-            assert_eq!(q.peek(), None);
-            q.push(Time::from_nanos(500), 2, 20);
-            q.push(Time::from_nanos(100), 1, 10);
-            // Peek reports the minimum without consuming it; a push of a new
-            // minimum after a peek is still observed.
-            assert_eq!(q.peek(), Some((Time::from_nanos(100), 1)));
-            assert_eq!(q.peek(), Some((Time::from_nanos(100), 1)));
-            q.push(Time::from_nanos(50), 3, 30);
-            assert_eq!(q.peek(), Some((Time::from_nanos(50), 3)));
-            assert_eq!(q.pop(), Some((Time::from_nanos(50), 3, 30)));
-            assert_eq!(q.pop(), Some((Time::from_nanos(100), 1, 10)));
-            assert_eq!(q.peek(), Some((Time::from_nanos(500), 2)));
-            assert_eq!(q.pop(), Some((Time::from_nanos(500), 2, 20)));
-            assert_eq!(q.peek(), None);
-            assert_eq!(q.pop(), None);
-        }
-    }
-
-    #[test]
-    fn heap_queue_matches_wheel_on_scattered_times() {
-        let mut w = TimingWheel::with_capacity(16);
-        let mut h = HeapQueue::with_capacity(16);
-        let mut state = 0x9E37_79B9_u64;
-        for seq in 0..5_000u64 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let t = state % 3_000_000_000; // within ~3 s
-            w.push(Time::from_nanos(t), seq, seq as u32);
-            h.push(Time::from_nanos(t), seq, seq as u32);
-        }
-        loop {
-            let a = w.pop();
-            let b = h.pop();
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
+        let mut w = TimingWheel::with_capacity(4);
+        assert_eq!(w.peek(), None);
+        w.push(Time::from_nanos(500), 2, 20);
+        w.push(Time::from_nanos(100), 1, 10);
+        // Peek reports the minimum without consuming it; a push of a new
+        // minimum after a peek is still observed.
+        assert_eq!(w.peek(), Some((Time::from_nanos(100), 1)));
+        assert_eq!(w.peek(), Some((Time::from_nanos(100), 1)));
+        w.push(Time::from_nanos(50), 3, 30);
+        assert_eq!(w.peek(), Some((Time::from_nanos(50), 3)));
+        assert_eq!(w.pop(), Some((Time::from_nanos(50), 3, 30)));
+        assert_eq!(w.pop(), Some((Time::from_nanos(100), 1, 10)));
+        assert_eq!(w.peek(), Some((Time::from_nanos(500), 2)));
+        assert_eq!(w.pop(), Some((Time::from_nanos(500), 2, 20)));
+        assert_eq!(w.peek(), None);
+        assert_eq!(w.pop(), None);
     }
 }

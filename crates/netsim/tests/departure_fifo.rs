@@ -10,7 +10,7 @@
 //! noise-free proxy for the engine's per-packet scheduler cost.
 
 use proteus_netsim::{
-    run, FlowSpec, LinkSpec, Scenario, SimResult, Topology, WirePath, EVENT_KIND_NAMES,
+    run, run_staged, FlowSpec, LinkSpec, Scenario, SimResult, Topology, EVENT_KIND_NAMES,
 };
 use proteus_transport::{AckInfo, CongestionControl, Dur, LossInfo, Time, DEFAULT_PACKET_BYTES};
 
@@ -42,7 +42,7 @@ fn kind(name: &str) -> usize {
 
 /// A 3-link chain whose middle link is the bottleneck, with one bulk flow
 /// over all three hops overdriving it (so hop 1 tail-drops).
-fn chain_on(wire: WirePath, duration_s: u64, stop_s: Option<u64>) -> SimResult {
+fn chain_scenario(duration_s: u64, stop_s: Option<u64>) -> Scenario {
     let topo = Topology::chain(vec![
         LinkSpec::new(30.0, Dur::from_millis(10), 60_000),
         LinkSpec::new(20.0, Dur::from_millis(10), 60_000),
@@ -52,16 +52,15 @@ fn chain_on(wire: WirePath, duration_s: u64, stop_s: Option<u64>) -> SimResult {
     if let Some(s) = stop_s {
         flow = flow.with_stop(Dur::from_secs(s));
     }
-    run(Scenario::over(topo, Dur::from_secs(duration_s))
+    Scenario::over(topo, Dur::from_secs(duration_s))
         .flow(flow)
         .with_seed(5)
-        .with_wire_path(wire))
 }
 
 /// The chain on the staged reference path, where every event but a
 /// released departure goes through the scheduler.
 fn chain(duration_s: u64, stop_s: Option<u64>) -> SimResult {
-    let r = chain_on(WirePath::Staged, duration_s, stop_s);
+    let r = run_staged(chain_scenario(duration_s, stop_s));
     assert_eq!(
         r.events.fused, 0,
         "the staged path serves nothing off the scheduler"
@@ -150,7 +149,7 @@ fn run_end_releases_only_departures_due_by_the_end() {
 
 #[test]
 fn lanes_serve_every_wire_event_of_a_clean_chain() {
-    let r = chain_on(WirePath::Fused, 6, Some(2));
+    let r = run(chain_scenario(6, Some(2)));
     let staged = chain(6, Some(2));
     let ev = &r.events;
     assert_eq!(

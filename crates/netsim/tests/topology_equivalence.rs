@@ -11,8 +11,8 @@
 //! wire ring.
 
 use proteus_netsim::{
-    run, ChurnClass, ChurnSpec, CrossTrafficSpec, FaultSchedule, FlowSpec, GilbertElliott,
-    LinkSpec, NoiseConfig, Scenario, SimResult, Topology, WirePath,
+    run, run_staged, ChurnClass, ChurnSpec, CrossTrafficSpec, FaultSchedule, FlowSpec,
+    GilbertElliott, LinkSpec, NoiseConfig, Scenario, SimResult, Topology,
 };
 use proteus_transport::{AckInfo, CongestionControl, Dur, LossInfo, Time};
 
@@ -194,10 +194,10 @@ fn churned_single_link_topology_matches_legacy() {
 }
 
 /// Multi-link topologies fail the wire ring's gate and run on wire lanes,
-/// with identical observable results whichever path was requested.
+/// with the staged reference's observable results.
 #[test]
 fn multi_link_topology_runs_on_lanes() {
-    let mk = |wp: WirePath| {
+    let mk = || {
         let topo = Topology::chain(vec![
             LinkSpec::new(50.0, Dur::from_millis(10), 375_000),
             LinkSpec::new(50.0, Dur::from_millis(10), 375_000),
@@ -207,23 +207,22 @@ fn multi_link_topology_runs_on_lanes() {
                 Box::new(TestWindow { cwnd: 200_000 })
             }))
             .with_seed(9)
-            .with_wire_path(wp)
     };
-    let fused_req = run(mk(WirePath::Fused));
-    let staged = run(mk(WirePath::Staged));
+    let fused = run(mk());
+    let staged = run_staged(mk());
     assert!(
-        fused_req.events.fused > 0,
+        fused.events.fused > 0,
         "wire lanes must serve a multi-link topology"
     );
     assert!(
-        fused_req.events.pushes < staged.events.pushes,
+        fused.events.pushes < staged.events.pushes,
         "lanes must take wire events off the scheduler"
     );
     assert_eq!(staged.events.fused, 0);
     assert_eq!(
-        digest_scrubbed(&fused_req),
+        digest_scrubbed(&fused),
         digest_scrubbed(&staged),
-        "wire-path request changed results on a multi-link topology"
+        "lanes changed results on a multi-link topology"
     );
 }
 
@@ -238,7 +237,6 @@ fn single_link_topology_still_fuses() {
     .flow(FlowSpec::bulk("win", Dur::ZERO, || {
         Box::new(TestWindow { cwnd: 200_000 })
     }))
-    .with_wire_path(WirePath::Fused)
     .with_seed(9));
     assert!(
         r.events.fused > 0,
@@ -272,8 +270,8 @@ fn overprovisioned_second_hop_is_transparent_to_throughput() {
     );
 }
 
-/// Per-link summaries mirror the run: link 0's summary equals the legacy
-/// scalar mirrors, and every path link carries traffic.
+/// Per-link summaries mirror the run: one per link, and every path link
+/// carries traffic.
 #[test]
 fn link_summaries_mirror_legacy_fields() {
     let topo = Topology::chain(vec![
@@ -286,8 +284,6 @@ fn link_summaries_mirror_legacy_fields() {
         }))
         .with_seed(3));
     assert_eq!(r.links.len(), 2);
-    assert_eq!(r.links[0].delivered_bytes, r.link_delivered_bytes);
-    assert_eq!(r.links[0].dropped_pkts, r.link_dropped_pkts);
     for (i, l) in r.links.iter().enumerate() {
         assert!(l.delivered_bytes > 0, "link {i} saw no traffic");
         assert!(l.peak_queued_bytes > 0, "link {i} never queued");

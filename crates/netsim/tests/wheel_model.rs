@@ -1,16 +1,16 @@
 //! Model-based property test: the timing wheel must pop in exactly the
-//! same `(time, push-sequence)` order as the `BinaryHeap` it replaced in
-//! the engine, under randomized interleavings of the operations the engine
-//! performs — pushes at the current instant (same-timestamp ties), short
-//! timer horizons, multi-level jumps, and far-future overflow entries —
-//! mirroring the `InflightTracker` vs `BTreeMap` model test from PR 2.
+//! same `(time, push-sequence)` order as a `BinaryHeap` reference, under
+//! randomized interleavings of the operations the engine performs — pushes
+//! at the current instant (same-timestamp ties), short timer horizons,
+//! multi-level jumps, far-future overflow entries, and the `peek` both
+//! merge loops make before every dispatch, which may advance the wheel
+//! early — mirroring the `InflightTracker` vs `BTreeMap` model test.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
-use proteus_netsim::sched::EventQueue;
-use proteus_netsim::Scheduler;
+use proteus_netsim::sched::TimingWheel;
 use proteus_transport::Time;
 
 #[derive(Debug, Clone)]
@@ -19,6 +19,10 @@ enum Op {
     Push { delta: u64 },
     /// Pop up to `count` events (stops when empty).
     Pop { count: usize },
+    /// Peek at the minimum, then schedule `ties` events at the peeked
+    /// instant (a merge loop that peeks, dispatches a lane event at that
+    /// same instant and schedules follow-ups "now").
+    Peek { ties: usize },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -36,6 +40,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         5 => delta.prop_map(|delta| Op::Push { delta }),
         3 => (1usize..8).prop_map(|count| Op::Pop { count }),
+        2 => (0usize..3).prop_map(|ties| Op::Peek { ties }),
     ]
 }
 
@@ -46,7 +51,7 @@ proptest! {
     fn wheel_matches_binary_heap_reference(ops in prop::collection::vec(op_strategy(), 1..500)) {
         // Deliberately tiny initial capacity: growth must never drop or
         // reorder entries.
-        let mut wheel: EventQueue<u64> = EventQueue::new(Scheduler::Wheel, 4);
+        let mut wheel: TimingWheel<u64> = TimingWheel::with_capacity(4);
         let mut reference: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
         let mut seq = 0u64;
         // The engine never schedules into the past: every push lands at or
@@ -70,6 +75,23 @@ proptest! {
                         prop_assert_eq!(got, want, "pop diverged at step {}", step);
                         if let Some((at, _, _)) = got {
                             now = at.as_nanos();
+                        }
+                    }
+                }
+                Op::Peek { ties } => {
+                    let want = reference
+                        .peek()
+                        .map(|&Reverse((at, s))| (Time::from_nanos(at), s));
+                    let len = wheel.len();
+                    prop_assert_eq!(wheel.peek(), want, "peek diverged at step {}", step);
+                    // Non-destructive: same answer again, nothing consumed.
+                    prop_assert_eq!(wheel.peek(), want, "repeat peek at step {}", step);
+                    prop_assert_eq!(wheel.len(), len, "peek consumed at step {}", step);
+                    if let Some((at, _)) = want {
+                        for _ in 0..ties {
+                            seq += 1;
+                            wheel.push(at, seq, seq);
+                            reference.push(Reverse((at.as_nanos(), seq)));
                         }
                     }
                 }

@@ -1,9 +1,10 @@
-//! Wire-path equivalence: the fused wire path (the wire ring on clean
-//! single-link runs, wire lanes everywhere else) and the staged scheduler
-//! chain must produce *identical* `SimResult`s, because fusion preserves
-//! the exact `(time, push-sequence)` key of every event it serves and the
-//! main loop merges the streams in that same total order. Exercised on
-//! clean, lossy, paced, churn, noisy and faulted scenarios, and by two
+//! Wire-path equivalence: the fused wire path of `run` (the wire ring on
+//! clean single-link runs, wire lanes everywhere else) and the staged
+//! scheduler chain of `run_staged` must produce *identical* `SimResult`s,
+//! because fusion preserves the exact `(time, push-sequence)` key of every
+//! event it serves and the main loop merges the streams in that same total
+//! order. Exercised on clean, lossy, paced, churn, noisy (with cross traffic
+//! and queue sampling) and faulted scenarios, and by two
 //! proptests: randomized single links (populations × churn × noise ×
 //! faults; a quarter of draws are clean and run on the ring) and randomized
 //! 1–4-link chains (churn sub-paths × per-link noise, reordering, ACK
@@ -12,9 +13,9 @@
 
 use proptest::prelude::*;
 use proteus_netsim::{
-    run, AckCompression, ChurnClass, ChurnSpec, CrossTrafficSpec, FaultSchedule, FlowSpec,
-    GilbertElliott, LinkId, LinkSpec, NoiseConfig, ReorderConfig, Scenario, SimResult, Topology,
-    WirePath, EVENT_KIND_NAMES,
+    run, run_staged, AckCompression, ChurnClass, ChurnSpec, CrossTrafficSpec, FaultSchedule,
+    FlowSpec, GilbertElliott, LinkId, LinkSpec, NoiseConfig, ReorderConfig, Scenario, SimResult,
+    Topology, EVENT_KIND_NAMES,
 };
 use proteus_transport::{AckInfo, CongestionControl, Dur, LossInfo, Time};
 
@@ -94,8 +95,8 @@ fn assert_mechanics(fused: &SimResult, staged: &SimResult, ctx: &dyn std::fmt::D
 /// Runs the scenario on both wire paths and asserts digest equality.
 /// Returns the fused run's result for gate assertions.
 fn assert_paths_agree(mk: impl Fn() -> Scenario) -> SimResult {
-    let fused = run(mk().with_wire_path(WirePath::Fused));
-    let staged = run(mk().with_wire_path(WirePath::Staged));
+    let fused = run(mk());
+    let staged = run_staged(mk());
     assert_eq!(
         digest(&fused),
         digest(&staged),
@@ -193,7 +194,10 @@ fn churn_population_fuses_and_matches() {
 fn noisy_scenario_runs_on_lanes_and_matches() {
     // Noise makes the wire ring inapplicable; wire lanes serve the packets
     // whose jittered arrivals stay in order and hand the rest to the
-    // scheduler.
+    // scheduler. Everything else the event stream exercises rides along:
+    // window + paced flows, a late start/stop, Poisson cross traffic,
+    // random loss, queue sampling (departure releases at a sample) and
+    // telemetry.
     let fused = assert_paths_agree(|| {
         Scenario::new(
             LinkSpec::new(40.0, Dur::from_millis(30), 300_000)
@@ -201,15 +205,31 @@ fn noisy_scenario_runs_on_lanes_and_matches() {
                 .with_noise(NoiseConfig::Gaussian {
                     std: Dur::from_micros(300),
                 }),
-            Dur::from_secs(6),
+            Dur::from_secs(8),
         )
         .flow(FlowSpec::bulk("win", Dur::ZERO, || {
             Box::new(TestWindow { cwnd: 150_000 })
         }))
+        .flow(
+            FlowSpec::bulk("paced", Dur::from_secs(1), || {
+                Box::new(TestPaced { rate: 500_000.0 })
+            })
+            .with_stop(Dur::from_secs(6)),
+        )
+        .with_cross_traffic(CrossTrafficSpec {
+            arrivals_per_sec: 3.0,
+            size_range: (20_000, 100_000),
+            cc: proteus_transport::factory(|_| TestWindow { cwnd: 30_000 }),
+            start: Dur::ZERO,
+            stop: Dur::from_secs(7),
+        })
+        .with_queue_sampling(Dur::from_millis(50))
         .with_trace(Dur::from_millis(100))
         .with_seed(1234)
     });
     assert!(fused.events.fused > 0, "lanes must serve a noisy run");
+    assert!(!fused.queue_samples.is_empty());
+    assert!(fused.flows.len() > 2, "cross traffic spawned no flows");
 }
 
 #[test]
@@ -398,8 +418,8 @@ impl RandScenario {
 
 /// Fused-vs-staged checks every randomized scenario must pass.
 fn check_paths_agree(rs: &RandScenario) {
-    let fused = run(rs.build().with_wire_path(WirePath::Fused));
-    let staged = run(rs.build().with_wire_path(WirePath::Staged));
+    let fused = run(rs.build());
+    let staged = run_staged(rs.build());
     assert_eq!(
         digest(&fused),
         digest(&staged),
